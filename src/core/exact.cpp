@@ -1,91 +1,61 @@
 #include "core/exact.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
-#include "opt/mcmf.h"
 
 namespace p2pcd::core {
 
-exact_result exact_scheduler::run(const problem_view& problem) const {
+exact_result exact_scheduler::run(const problem_view& problem) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
 
-    exact_result result;
-    result.sched.choice.assign(nr, no_candidate);
-    result.prices.assign(nu, 0.0);
-    result.request_utility.assign(nr, 0.0);
-    if (nr == 0) return result;
-
-    // Network layout (identical to the transportation-form reference in
-    // opt/transportation.cpp, so Dijkstra tie-breaking — and therefore the
-    // chosen optimum among ties — is unchanged):
-    // [0]=S, [1..nr]=requests, [nr+1..nr+nu]=uploaders, [last]=T.
-    opt::min_cost_flow flow;
-    flow.add_nodes(nr + nu + 2);
-    const auto source_node = [&](std::size_t d) { return d + 1; };
-    const auto sink_node = [&](std::size_t u) { return nr + 1 + u; };
-    const opt::min_cost_flow::node s = 0;
-    const opt::min_cost_flow::node t = nr + nu + 1;
-
-    for (std::size_t d = 0; d < nr; ++d) {
-        flow.add_edge(s, source_node(d), 1, 0.0);
-        // Outside option: a request may stay unserved at zero cost. This makes
-        // the min-cost max-flow saturate every source, so SSP terminates after
-        // exactly nr augmentations and never assigns a request at a loss.
-        flow.add_edge(source_node(d), t, 1, 0.0);
-    }
-    // Candidate edges in flat CSR order: candidate k ↔ edge_ids[k].
+    // Flat candidate k ↔ instance edge k, in CSR order.
+    instance_.num_sources = nr;
+    instance_.sink_capacity.resize(nu);
+    for (std::size_t u = 0; u < nu; ++u)
+        instance_.sink_capacity[u] = problem.uploader(u).capacity;
     const auto requests = problem.all_requests();
     const std::uint32_t* cand_up = problem.cand_uploaders().data();
     const double* cand_costs = problem.cand_costs().data();
-    std::vector<opt::min_cost_flow::edge_id> edge_ids;
-    edge_ids.reserve(problem.num_candidates());
+    const std::uint32_t* offsets = problem.offsets().data();
+    instance_.edges.resize(problem.num_candidates());
     for (std::size_t r = 0; r < nr; ++r) {
         const double v = requests[r].valuation;
-        const std::size_t begin = problem.candidate_offset(r);
-        const std::size_t end = begin + problem.candidates(r).size();
-        for (std::size_t k = begin; k < end; ++k)
-            edge_ids.push_back(flow.add_edge(source_node(r), sink_node(cand_up[k]),
-                                             1, -(v - cand_costs[k])));
+        for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
+            instance_.edges[k] = {r, cand_up[k], v - cand_costs[k]};
     }
-    for (std::size_t u = 0; u < nu; ++u)
-        flow.add_edge(sink_node(u), t, problem.uploader(u).capacity, 0.0);
 
-    auto res = flow.solve(s, t, static_cast<std::int64_t>(nr));
-    ensures(res.flow == static_cast<std::int64_t>(nr),
-            "outside options guarantee full assignment flow");
+    opt::transportation_solution sol = opt::solve_transportation_simplex(instance_);
 
+    exact_result result;
+    result.sched.choice.assign(nr, no_candidate);
     for (std::size_t r = 0; r < nr; ++r) {
-        const std::size_t begin = problem.candidate_offset(r);
-        const std::size_t end = begin + problem.candidates(r).size();
-        for (std::size_t k = begin; k < end; ++k) {
-            if (flow.flow_on(edge_ids[k]) > 0) {
-                ensures(result.sched.choice[r] == no_candidate,
-                        "request assigned to more than one candidate");
-                result.sched.choice[r] = static_cast<std::ptrdiff_t>(k - begin);
-                result.welfare += requests[r].valuation - cand_costs[k];
-            }
-        }
+        const std::ptrdiff_t e = sol.edge_of_source[r];
+        if (e == opt::unassigned) continue;
+        result.sched.choice[r] =
+            e - static_cast<std::ptrdiff_t>(offsets[r]);  // edge k ↔ candidate k
+        ensures(result.sched.choice[r] >= 0 &&
+                    static_cast<std::size_t>(e) < offsets[r + 1],
+                "assigned edge must map back into its request's candidate row");
     }
-
-    // Dual recovery from SSP potentials π: all residual reduced costs are
-    // non-negative at termination, which translates to dual feasibility of
-    //   λ_u = max(0, π(T) − π(u)),
-    //   η_d = max(0, max_{(d,u)} profit − λ_u)   (the paper's η* formula).
-    const double pi_t = flow.potential(t);
-    for (std::size_t u = 0; u < nu; ++u)
-        result.prices[u] = std::max(0.0, pi_t - flow.potential(sink_node(u)));
-    for (std::size_t r = 0; r < nr; ++r)
-        for (const auto& c : problem.candidates(r))
-            result.request_utility[r] =
-                std::max(result.request_utility[r],
-                         requests[r].valuation - c.cost - result.prices[c.uploader]);
+    result.welfare = sol.welfare;
+    result.prices = std::move(sol.sink_price);
+    result.request_utility = std::move(sol.source_utility);
+    total_pivots_ += sol.pivots;
     return result;
 }
 
 schedule exact_scheduler::solve(const problem_view& problem) {
     return run(problem).sched;
+}
+
+void exact_scheduler::shed_memory() {
+    std::vector<std::int64_t>().swap(instance_.sink_capacity);
+    std::vector<opt::transportation_edge>().swap(instance_.edges);
+}
+
+std::size_t exact_scheduler::workspace_bytes() const {
+    return instance_.sink_capacity.capacity() * sizeof(std::int64_t) +
+           instance_.edges.capacity() * sizeof(opt::transportation_edge);
 }
 
 }  // namespace p2pcd::core

@@ -300,10 +300,10 @@ public:
     operator problem_view() const noexcept { return view(); }  // NOLINT(google-explicit-constructor)
 
     // Lossless conversion to the transportation form of Sec. IV-A, kept for
-    // the opt-layer reference solvers and the LP-formulation tests. Edge k of
-    // the result corresponds to flat candidate k (CSR order), i.e. candidate
-    // `edge_origin(k)`. The hot path (core/exact) no longer goes through
-    // this copy — it builds the min-cost-flow network straight off the view.
+    // the opt-layer solvers and the LP-formulation tests. Edge k of the
+    // result corresponds to flat candidate k (CSR order), i.e. candidate
+    // `edge_origin(k)`. The hot path (core/exact) does not go through this
+    // copy — it fills its own persistent instance straight off the view.
     [[nodiscard]] opt::transportation_instance to_transportation() const;
     struct edge_origin_entry {
         std::size_t request = 0;

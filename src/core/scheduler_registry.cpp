@@ -2,7 +2,6 @@
 
 #include "common/contracts.h"
 #include "core/exact.h"
-#include "core/transportation_scheduler.h"
 
 namespace p2pcd::core {
 
@@ -51,9 +50,6 @@ void register_core_schedulers(scheduler_registry& registry) {
     });
     registry.add("exact", [](const scheduler_params&) {
         return std::make_unique<exact_scheduler>();
-    });
-    registry.add("transportation-simplex", [](const scheduler_params&) {
-        return std::make_unique<transportation_simplex_scheduler>();
     });
 }
 

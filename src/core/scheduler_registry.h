@@ -63,9 +63,9 @@ private:
     std::map<std::string, factory, std::less<>> factories_;
 };
 
-// Registers the schedulers implemented in core: "auction", "auction-par",
-// "exact" and "transportation-simplex". (baseline/registry.h adds the
-// comparison baselines and provides the fully-populated built-in registry.)
+// Registers the schedulers implemented in core: "auction", "auction-par" and
+// "exact". (baseline/registry.h adds the comparison baselines and provides
+// the fully-populated built-in registry.)
 void register_core_schedulers(scheduler_registry& registry);
 
 }  // namespace p2pcd::core

@@ -1,9 +1,10 @@
 // Small dense row-major matrix used by the LP machinery.
 //
 // The library's optimization problems are small (the exact solver handles the
-// per-slot transportation instances via min-cost flow; the simplex is used on
-// modest LPs for verification), so a straightforward dense representation with
-// elementary row operations is the right tool — no sparse package needed.
+// per-slot transportation instances via the network simplex; the dense
+// simplex is used on modest LPs for verification), so a straightforward dense
+// representation with elementary row operations is the right tool — no
+// sparse package needed.
 #ifndef P2PCD_OPT_MATRIX_H
 #define P2PCD_OPT_MATRIX_H
 

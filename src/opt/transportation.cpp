@@ -1,9 +1,6 @@
 #include "opt/transportation.h"
 
-#include <algorithm>
-
 #include "common/contracts.h"
-#include "opt/mcmf.h"
 
 namespace p2pcd::opt {
 
@@ -14,66 +11,6 @@ void transportation_instance::validate() const {
         expects(e.source < num_sources, "edge source out of range");
         expects(e.sink < sink_capacity.size(), "edge sink out of range");
     }
-}
-
-transportation_solution solve_exact(const transportation_instance& instance) {
-    instance.validate();
-    transportation_solution sol;
-    sol.edge_of_source.assign(instance.num_sources, unassigned);
-    sol.sink_price.assign(instance.num_sinks(), 0.0);
-    sol.source_utility.assign(instance.num_sources, 0.0);
-    if (instance.num_sources == 0) return sol;
-
-    // Network layout: [0]=S, [1..ns]=sources, [ns+1..ns+nu]=sinks, [last]=T.
-    min_cost_flow flow;
-    const std::size_t ns = instance.num_sources;
-    const std::size_t nu = instance.num_sinks();
-    flow.add_nodes(ns + nu + 2);
-    const auto source_node = [&](std::size_t d) { return d + 1; };
-    const auto sink_node = [&](std::size_t u) { return ns + 1 + u; };
-    const min_cost_flow::node s = 0;
-    const min_cost_flow::node t = ns + nu + 1;
-
-    for (std::size_t d = 0; d < ns; ++d) {
-        flow.add_edge(s, source_node(d), 1, 0.0);
-        // Outside option: a request may stay unserved at zero cost. This makes
-        // the min-cost max-flow saturate every source, so SSP terminates after
-        // exactly ns augmentations and never assigns a source at a loss.
-        flow.add_edge(source_node(d), t, 1, 0.0);
-    }
-    std::vector<min_cost_flow::edge_id> edge_ids;
-    edge_ids.reserve(instance.edges.size());
-    for (const auto& e : instance.edges)
-        edge_ids.push_back(
-            flow.add_edge(source_node(e.source), sink_node(e.sink), 1, -e.profit));
-    for (std::size_t u = 0; u < nu; ++u)
-        flow.add_edge(sink_node(u), t, instance.sink_capacity[u], 0.0);
-
-    auto res = flow.solve(s, t, static_cast<std::int64_t>(ns));
-    ensures(res.flow == static_cast<std::int64_t>(ns),
-            "outside options guarantee full assignment flow");
-
-    for (std::size_t i = 0; i < instance.edges.size(); ++i) {
-        if (flow.flow_on(edge_ids[i]) > 0) {
-            const auto& e = instance.edges[i];
-            ensures(sol.edge_of_source[e.source] == unassigned,
-                    "source assigned to more than one edge");
-            sol.edge_of_source[e.source] = static_cast<std::ptrdiff_t>(i);
-            sol.welfare += e.profit;
-        }
-    }
-
-    // Dual recovery from SSP potentials π: all residual reduced costs are
-    // non-negative at termination, which translates to dual feasibility of
-    //   λ_u = max(0, π(T) − π(u)),
-    //   η_d = max(0, max_{(d,u)} profit − λ_u)   (the paper's η* formula).
-    const double pi_t = flow.potential(t);
-    for (std::size_t u = 0; u < nu; ++u)
-        sol.sink_price[u] = std::max(0.0, pi_t - flow.potential(sink_node(u)));
-    for (const auto& e : instance.edges)
-        sol.source_utility[e.source] =
-            std::max(sol.source_utility[e.source], e.profit - sol.sink_price[e.sink]);
-    return sol;
 }
 
 namespace {
@@ -112,7 +49,7 @@ struct brute_state {
 
 transportation_solution solve_brute_force(const transportation_instance& instance) {
     instance.validate();
-    expects(instance.num_sources <= 12, "brute force is exponential; use solve_exact");
+    expects(instance.num_sources <= 12, "brute force is exponential; use solve_transportation_simplex");
 
     brute_state st;
     st.instance = &instance;

@@ -6,12 +6,13 @@
 // "Unassigned" is always allowed (a request can simply stay unserved at zero
 // utility), matching the ≤ constraints and η ≥ 0 duals of the paper's LP.
 //
-// Two reference solvers live here:
-//  * solve_exact        — min-cost max-flow; optimal for any instance size the
-//                         tests and benches use, and the yardstick against
+// Two solvers live here:
+//  * solve_transportation_simplex — primal network simplex; optimal for any
+//                         instance size the tests and benches use, and the
+//                         yardstick (via core's "exact" scheduler) against
 //                         which Theorem 1 (auction optimality) is verified;
 //  * solve_brute_force  — exponential enumeration for tiny instances, used to
-//                         validate solve_exact itself.
+//                         validate the network simplex itself.
 #ifndef P2PCD_OPT_TRANSPORTATION_H
 #define P2PCD_OPT_TRANSPORTATION_H
 
@@ -44,20 +45,16 @@ struct transportation_solution {
     // Dual prices: λ per sink (bandwidth price), η per source (request utility).
     std::vector<double> sink_price;
     std::vector<double> source_utility;
-    // Simplex pivots performed (0 for solve_exact): a deterministic measure
-    // of how hard the instance fought, surfaced through obs::counters.
+    // Simplex pivots performed (0 for solve_brute_force): a deterministic
+    // measure of how hard the instance fought, surfaced through obs::counters.
     std::uint64_t pivots = 0;
 };
 
-[[nodiscard]] transportation_solution solve_exact(const transportation_instance& instance);
-
-// Primal network simplex on the transportation form (transportation_simplex.cpp).
-// Same contract as solve_exact — optimal primal, feasible duals — via a
-// different algorithm: a strongly feasible spanning-tree basis (Cunningham)
-// pivoted until no arc prices out. Exists as an independently-derived
-// challenger: the solver-equivalence property suite holds the two optima
-// against each other, and core's "transportation-simplex" scheduler races it
-// against the auctions in the scheduler benches.
+// Primal network simplex on the transportation form (transportation_simplex.cpp):
+// optimal primal and feasible duals from a strongly feasible spanning-tree
+// basis (Cunningham) pivoted until no arc prices out. Backs core's "exact"
+// scheduler; the tests hold it against brute force on tiny instances and
+// against the dense LP (opt/simplex.h) on larger ones.
 [[nodiscard]] transportation_solution solve_transportation_simplex(
     const transportation_instance& instance);
 

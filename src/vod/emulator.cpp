@@ -8,7 +8,7 @@
 
 #include "baseline/registry.h"
 #include "common/contracts.h"
-#include "core/transportation_scheduler.h"
+#include "core/exact.h"
 #include "core/welfare.h"
 #include "obs/jsonl_sink.h"
 #include "vod/auction_runtime.h"
@@ -57,7 +57,7 @@ emulator::emulator(emulator_options options)
     scheduler_ = registry.make(options_.scheduler, params);
     auction_ = dynamic_cast<core::auction_solver*>(scheduler_.get());
     par_auction_ = dynamic_cast<core::parallel_auction_solver*>(scheduler_.get());
-    trans_ = dynamic_cast<core::transportation_simplex_scheduler*>(scheduler_.get());
+    exact_ = dynamic_cast<core::exact_scheduler*>(scheduler_.get());
 
     // Mask window span: the widest word range a prefetch window can touch
     // (begin mod 64 + prefetch chunks, rounded out), clamped to the video.
@@ -166,7 +166,7 @@ void emulator::sample_counters() {
     const tracker_stats& ts = tracker_.stats();
     counters_.set(c_tracker_repairs_, ts.repairs);
     counters_.set(c_tracker_inversions_, ts.inversions);
-    if (trans_ != nullptr) counters_.set(c_solver_pivots_, trans_->total_pivots());
+    if (exact_ != nullptr) counters_.set(c_solver_pivots_, exact_->total_pivots());
     counters_.set(g_admission_queue_, static_cast<double>(deferred_.size()));
 }
 

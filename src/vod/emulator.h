@@ -70,7 +70,7 @@
 #include "workload/scenario.h"
 
 namespace p2pcd::core {
-class transportation_simplex_scheduler;  // core/transportation_scheduler.h
+class exact_scheduler;  // core/exact.h
 }  // namespace p2pcd::core
 
 namespace p2pcd::vod {
@@ -468,11 +468,12 @@ private:
 
     // Long-lived scheduler from the registry; `auction_` / `par_auction_`
     // are the non-null downcasts when a built-in auction is selected (they
-    // have the richer run() API: bid diagnostics and warm-start prices).
+    // have the richer run() API: bid diagnostics and warm-start prices), and
+    // `exact_` when "exact" is (its pivot total feeds solver.pivots).
     std::unique_ptr<core::scheduler> scheduler_;
     core::auction_solver* auction_ = nullptr;
     core::parallel_auction_solver* par_auction_ = nullptr;
-    core::transportation_simplex_scheduler* trans_ = nullptr;
+    core::exact_scheduler* exact_ = nullptr;
 
     peer_table peers_;          // rows stable and id-ordered; departed flagged
     std::size_t num_seeds_ = 0;  // rows [0, num_seeds_) are the seeds

@@ -126,8 +126,8 @@ inline constexpr golden_run_hashes golden_warm_slots_economy_par = {
     "economy_smoke", 0xba4895265c419f4bull, 0x4cf4d7c38a1dd468ull,
     0x49d9cbac4010b3b4ull};
 
-// Metrics hash of the first 3 slots of economy_smoke under the
-// transportation-simplex scheduler — the CI smoke pin for the exact solver
+// Metrics hash of the first 3 slots of economy_smoke under the exact
+// (network simplex) scheduler — the CI smoke pin for the exact solver
 // (see the scheduler_scaling step in .github/workflows/ci.yml). Captured
 // 2026-08-08 on GCC 12 / x86-64.
 inline constexpr std::uint64_t golden_simplex_smoke_metrics = 0xbab1d6206a36448aull;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/contracts.h"
+#include "core/exact.h"
 #include "engine/fleet.h"
 #include "metrics/process_stats.h"
 #include "net/cost_model.h"
@@ -18,6 +19,7 @@
 #include "vod/peer_table.h"
 #include "vod/shared_assets.h"
 #include "workload/fleet_config.h"
+#include "workload/instance_gen.h"
 #include "workload/scenario.h"
 
 namespace p2pcd {
@@ -111,7 +113,7 @@ TEST(cost_model_memory, link_cache_bytes_stay_bounded) {
     sim::rng_stream rng(17);
     net::cost_model model(topo, net::cost_params{}, rng);
     for (int u = 0; u < peers; ++u)
-        for (int d = u + 1; d < peers; ++d) model.cost(peer_id(u), peer_id(d));
+        for (int d = u + 1; d < peers; ++d) (void)model.cost(peer_id(u), peer_id(d));
     const net::cost_cache_stats stats = model.cache_stats();
     EXPECT_GE(stats.flushes, 1u) << "flood must overflow the default bound";
     EXPECT_LE(stats.size, stats.capacity);
@@ -132,6 +134,33 @@ TEST(emulator_memory, footprint_components_sum_to_total) {
     EXPECT_EQ(fp.total(), fp.peer_table + fp.buffers + fp.tracker +
                               fp.neighbor_arena + fp.problem_arena + fp.solver +
                               fp.cost_cache + fp.ledger + fp.scratch + fp.shared);
+}
+
+// The exact scheduler keeps its transportation-instance arena between
+// solves: workspace_bytes() must report it and shed_memory() must free it,
+// so the emulator's footprint sees the arena and its slot-end shed drops it.
+TEST(emulator_memory, exact_scheduler_arena_is_accounted_and_shed) {
+    core::exact_scheduler solver;
+    auto problem = workload::make_uniform_instance({.num_requests = 30, .seed = 5});
+    (void)solver.solve(problem);
+    EXPECT_GT(solver.workspace_bytes(), 0u);
+    solver.shed_memory();
+    EXPECT_EQ(solver.workspace_bytes(), 0u);
+
+    // Delta builds keep solver workspaces warm across slots; the full-build
+    // pipeline sheds them at slot end.
+    for (const bool delta : {true, false}) {
+        vod::emulator_options opts;
+        opts.config = workload::scenario_config::small_test();
+        opts.scheduler = "exact";
+        opts.delta_build = delta;
+        vod::emulator emu(opts);
+        emu.step();
+        if (delta)
+            EXPECT_GT(emu.memory_footprint().solver, 0u);
+        else
+            EXPECT_EQ(emu.memory_footprint().solver, 0u);
+    }
 }
 
 TEST(fleet_memory, shared_assets_are_counted_once) {

@@ -256,16 +256,18 @@ TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {
                   run_scenario("economy_smoke", {.telemetry = true}));
 }
 
-// CI smoke pin for the transportation simplex: 3 slots of economy_smoke,
-// metrics only (the scheduler is exact, so this doubles as a cheap guard
-// that the pivoting rewrite still lands on the optimal schedule).
-TEST(slot_golden, transportation_simplex_three_slot_smoke) {
+// CI smoke pin for the exact (network simplex) scheduler: 3 slots of
+// economy_smoke, metrics only (the scheduler is exact, so this doubles as a
+// cheap guard that the pivoting still lands on the optimal schedule), plus
+// the solver.pivots counter it publishes.
+TEST(slot_golden, exact_three_slot_smoke) {
     emulator_options opts;
     opts.config = workload::builtin_scenarios().make("economy_smoke");
-    opts.scheduler = "transportation-simplex";
+    opts.scheduler = "exact";
     emulator emu(std::move(opts));
     std::uint64_t h = golden_seed;
     for (int k = 0; k < 3; ++k) golden_mix_metrics(h, emu.step());
+    EXPECT_GT(emu.counters().counter_named("solver.pivots"), 0u);
     if (std::getenv("P2PCD_GOLDEN_DUMP") != nullptr)
         std::printf("GOLDEN-SIMPLEX economy_smoke_3slot metrics %016llxull\n",
                     static_cast<unsigned long long>(h));
@@ -273,7 +275,7 @@ TEST(slot_golden, transportation_simplex_three_slot_smoke) {
         GTEST_SKIP() << "golden constants were captured with GCC/x86-64; "
                         "set P2PCD_GOLDEN_STRICT=1 to compare anyway";
     EXPECT_EQ(h, golden_simplex_smoke_metrics)
-        << "transportation-simplex smoke metrics diverged";
+        << "exact smoke metrics diverged";
 }
 
 }  // namespace

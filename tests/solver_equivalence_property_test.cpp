@@ -1,11 +1,12 @@
-// Property-based equivalence of the PR's two new solvers against the
-// established references, over randomized instance corpora:
+// Property-based equivalence of the exact and parallel solvers against
+// independent references, over randomized instance corpora:
 //
-//  * transportation simplex vs core/exact — equal welfare on every instance
-//    (both are exact algorithms), feasible primal, feasible duals, and a
-//    ~zero duality gap as the optimality certificate. The corpus leans on
-//    degenerate shapes: 1–64 uploaders, zero-capacity uploaders, empty
-//    candidate rows, duplicate (request, uploader) edges.
+//  * core/exact (the transportation network simplex) vs the dense LP
+//    (opt/simplex on the explicit LP of problem (1)) — equal welfare on
+//    every instance (both are exact algorithms), feasible primal, feasible
+//    duals, and a ~zero duality gap as the optimality certificate. The
+//    corpus leans on degenerate shapes: 1–64 uploaders, zero-capacity
+//    uploaders, empty candidate rows, duplicate (request, uploader) edges.
 //  * parallel (Jacobi) auction vs the Theorem 1 obligations — feasibility,
 //    welfare within (#assigned)·ε of exact, dual feasibility and full
 //    ε-complementary slackness at termination (unscaled), and bit-identical
@@ -25,9 +26,10 @@
 #include "core/auction.h"
 #include "core/exact.h"
 #include "core/parallel_auction.h"
-#include "core/transportation_scheduler.h"
 #include "core/welfare.h"
+#include "lp_reference.h"
 #include "opt/duality.h"
+#include "opt/simplex.h"
 #include "opt/transportation.h"
 #include "sim/rng.h"
 #include "workload/instance_gen.h"
@@ -36,6 +38,15 @@ namespace p2pcd::core {
 namespace {
 
 constexpr double tol = 1e-9;
+
+// Optimum of problem (1) by the dense LP; 0 for an instance without edges.
+double lp_optimum(const scheduling_problem& problem) {
+    const auto instance = problem.to_transportation();
+    if (instance.edges.empty()) return 0.0;
+    const auto sol = opt::solve_simplex(opt::as_lp(instance));
+    EXPECT_EQ(sol.status, opt::solve_status::optimal);
+    return sol.objective;
+}
 
 // Random CSR instance with deliberately nasty shapes. Values are dyadic
 // (k/8), so welfare sums are exact in doubles and "equal welfare" needs no
@@ -102,21 +113,20 @@ workload::uniform_instance_params family_params(int index) {
 }
 
 TEST(solver_equivalence, simplex_matches_exact_on_degenerate_corpus) {
-    exact_scheduler exact;
-    transportation_simplex_scheduler simplex;
+    exact_scheduler simplex;
     std::size_t nontrivial = 0;
     for (std::uint64_t seed = 0; seed < 220; ++seed) {
         auto problem = make_degenerate_instance(seed * 1315423911ull + 17);
-        auto best = exact.run(problem);
+        const double best = lp_optimum(problem);
         auto got = simplex.run(problem);
         ASSERT_TRUE(schedule_feasible(problem, got.sched)) << "seed " << seed;
-        EXPECT_NEAR(got.welfare, best.welfare, tol) << "seed " << seed;
+        EXPECT_NEAR(got.welfare, best, tol) << "seed " << seed;
         auto stats = compute_stats(problem, got.sched);
         EXPECT_NEAR(stats.welfare, got.welfare, tol) << "seed " << seed;
         auto instance = problem.to_transportation();
         EXPECT_TRUE(opt::dual_feasible(instance, got.prices, got.request_utility))
             << "seed " << seed;
-        nontrivial += best.welfare > 0.0;
+        nontrivial += best > 0.0;
     }
     EXPECT_GE(nontrivial, 100u) << "corpus must exercise non-trivial instances";
 }
@@ -144,7 +154,7 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
     {  // no requests at all
         scheduling_problem problem;
         problem.add_uploader(peer_id(0), 3);
-        transportation_simplex_scheduler simplex;
+        exact_scheduler simplex;
         auto got = simplex.run(problem);
         EXPECT_DOUBLE_EQ(got.welfare, 0.0);
         EXPECT_TRUE(got.sched.choice.empty());
@@ -154,7 +164,7 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
         problem.add_uploader(peer_id(0), 0);
         problem.add_request(peer_id(1), chunk_id(0), 5.0);
         problem.append_candidate(0, 1.0);
-        transportation_simplex_scheduler simplex;
+        exact_scheduler simplex;
         auto got = simplex.run(problem);
         EXPECT_DOUBLE_EQ(got.welfare, 0.0);
         EXPECT_EQ(got.sched.choice[0], no_candidate);
@@ -168,9 +178,8 @@ TEST(solver_equivalence, simplex_handles_corner_instances) {
             problem.add_request(peer_id(1 + r), chunk_id(r), 4.0);
             problem.append_candidate(0, 1.0);
         }
-        exact_scheduler exact;
-        transportation_simplex_scheduler simplex;
-        EXPECT_NEAR(simplex.run(problem).welfare, exact.run(problem).welfare, tol);
+        exact_scheduler simplex;
+        EXPECT_NEAR(simplex.run(problem).welfare, lp_optimum(problem), tol);
     }
 }
 

@@ -18,7 +18,7 @@ transportation_instance two_requests_one_slot() {
 }
 
 TEST(transportation, picks_higher_profit_when_capacity_binds) {
-    auto sol = solve_exact(two_requests_one_slot());
+    auto sol = solve_transportation_simplex(two_requests_one_slot());
     EXPECT_DOUBLE_EQ(sol.welfare, 5.0);
     EXPECT_EQ(sol.edge_of_source[0], 0);
     EXPECT_EQ(sol.edge_of_source[1], unassigned);
@@ -26,7 +26,7 @@ TEST(transportation, picks_higher_profit_when_capacity_binds) {
 
 TEST(transportation, duals_price_out_the_loser) {
     auto instance = two_requests_one_slot();
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     // λ must be at least the loser's profit (else the loser would envy) and
     // at most the winner's.
     EXPECT_GE(sol.sink_price[0], 3.0 - 1e-9);
@@ -40,14 +40,14 @@ TEST(transportation, negative_profit_edges_stay_unused) {
     instance.num_sources = 1;
     instance.sink_capacity = {1};
     instance.edges = {{0, 0, -2.0}};
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     EXPECT_EQ(sol.edge_of_source[0], unassigned);
     EXPECT_DOUBLE_EQ(sol.welfare, 0.0);
 }
 
 TEST(transportation, empty_instance_is_fine) {
     transportation_instance instance;
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     EXPECT_DOUBLE_EQ(sol.welfare, 0.0);
     EXPECT_TRUE(sol.edge_of_source.empty());
 }
@@ -57,7 +57,7 @@ TEST(transportation, source_with_no_edges_stays_unassigned) {
     instance.num_sources = 2;
     instance.sink_capacity = {1};
     instance.edges = {{0, 0, 1.0}};
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     EXPECT_EQ(sol.edge_of_source[1], unassigned);
     EXPECT_DOUBLE_EQ(sol.welfare, 1.0);
 }
@@ -67,7 +67,7 @@ TEST(transportation, multi_unit_sink_serves_several_sources) {
     instance.num_sources = 3;
     instance.sink_capacity = {2};
     instance.edges = {{0, 0, 5.0}, {1, 0, 4.0}, {2, 0, 3.0}};
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     EXPECT_DOUBLE_EQ(sol.welfare, 9.0);
     EXPECT_EQ(sol.edge_of_source[2], unassigned);
 }
@@ -79,7 +79,7 @@ TEST(transportation, chooses_globally_not_greedily) {
     instance.num_sources = 2;
     instance.sink_capacity = {1, 1};
     instance.edges = {{0, 0, 9.0}, {0, 1, 8.0}, {1, 0, 7.0}, {1, 1, 1.0}};
-    auto sol = solve_exact(instance);
+    auto sol = solve_transportation_simplex(instance);
     EXPECT_DOUBLE_EQ(sol.welfare, 15.0);
     EXPECT_EQ(sol.edge_of_source[0], 1);
     EXPECT_EQ(sol.edge_of_source[1], 2);
@@ -90,12 +90,12 @@ TEST(transportation, validates_malformed_instances) {
     instance.num_sources = 1;
     instance.sink_capacity = {1};
     instance.edges = {{5, 0, 1.0}};  // source out of range
-    EXPECT_THROW((void)solve_exact(instance), contract_violation);
+    EXPECT_THROW((void)solve_transportation_simplex(instance), contract_violation);
     instance.edges = {{0, 7, 1.0}};  // sink out of range
-    EXPECT_THROW((void)solve_exact(instance), contract_violation);
+    EXPECT_THROW((void)solve_transportation_simplex(instance), contract_violation);
     instance.edges.clear();
     instance.sink_capacity = {-1};
-    EXPECT_THROW((void)solve_exact(instance), contract_violation);
+    EXPECT_THROW((void)solve_transportation_simplex(instance), contract_violation);
 }
 
 TEST(transportation, brute_force_rejects_large_instances) {
@@ -105,7 +105,7 @@ TEST(transportation, brute_force_rejects_large_instances) {
     EXPECT_THROW((void)solve_brute_force(instance), contract_violation);
 }
 
-// Property sweep: the flow solver must match exhaustive search exactly on
+// Property sweep: the network simplex must match exhaustive search exactly on
 // random small instances, and its duals must certify optimality.
 class transportation_random : public ::testing::TestWithParam<int> {};
 
@@ -124,7 +124,7 @@ TEST_P(transportation_random, matches_brute_force_and_certifies) {
                  rng.uniform_real(-5.0, 10.0)});
     }
 
-    auto exact = solve_exact(instance);
+    auto exact = solve_transportation_simplex(instance);
     auto brute = solve_brute_force(instance);
     EXPECT_NEAR(exact.welfare, brute.welfare, 1e-9);
     EXPECT_TRUE(primal_feasible(instance, exact.edge_of_source));
