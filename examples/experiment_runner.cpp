@@ -54,7 +54,7 @@
 //   --telemetry-out FILE   stream per-slot/per-epoch JSONL records (src/obs/
 //                    schema, versioned; see docs/REPRODUCING.md) to FILE; in
 //                    --fleet mode streams the merged fleet_slot records
-//   --telemetry-every N    emit a slot record every N slots          [1]
+//   --telemetry-every N    emit a slot record every N slots (N ≥ 1)  [1]
 //   --trace-out FILE enable the per-phase span recorder and write a Chrome
 //                    trace_event JSON (chrome://tracing / Perfetto) to FILE;
 //                    in --fleet mode the trace is swarm 0's
@@ -257,7 +257,10 @@ int main(int argc, char** argv) {
         else if (flag == "--warm-rounds") opts.warm_start_rounds = true;
         else if (flag == "--csv") csv_path = next();
         else if (flag == "--telemetry-out") telemetry_path = next();
-        else if (flag == "--telemetry-every") telemetry_every = std::stoul(next());
+        else if (flag == "--telemetry-every") {
+            telemetry_every = std::stoul(next());
+            if (telemetry_every == 0) usage("--telemetry-every must be at least 1");
+        }
         else if (flag == "--trace-out") trace_path = next();
         else if (flag == "--isp-economy") economy_requested = true;
         else if (flag == "--peering") { peering_override = next(); economy_requested = true; }

@@ -86,12 +86,11 @@ bool scheduling_problem::identical_to(const scheduling_problem& other) const noe
 }
 
 void scheduling_problem::shed() noexcept {
-    std::vector<uploader_info>().swap(uploaders_);
-    std::vector<request_info>().swap(requests_);
-    std::vector<std::uint32_t>().swap(cand_uploader_);
-    std::vector<double>().swap(cand_cost_);
-    std::vector<std::uint32_t>().swap(offsets_);
-    offsets_.push_back(0);
+    slab<uploader_info>().swap(uploaders_);
+    slab<request_info>().swap(requests_);
+    slab<std::uint32_t>().swap(cand_uploader_);
+    slab<double>().swap(cand_cost_);
+    slab<std::uint32_t>().swap(offsets_);
 }
 
 const uploader_info& scheduling_problem::uploader(std::size_t u) const {

@@ -34,6 +34,7 @@
 
 #include "common/contracts.h"
 #include "common/ids.h"
+#include "common/page_allocator.h"
 #include "opt/transportation.h"
 
 namespace p2pcd::core {
@@ -263,10 +264,12 @@ public:
     // state after the first round).
     void reserve(std::size_t uploaders, std::size_t requests, std::size_t candidates);
 
-    // Returns the arenas to the allocator (capacity drops to zero). The
-    // emulator sheds the slot problem after the last bidding round so a
-    // shard's high-water slab is only resident while its slot is solving —
-    // pair with `reserve()` of the remembered high water at the next build.
+    // Returns the arenas to the allocator (capacity drops to zero, so
+    // memory_bytes() reads 0). The emulator sheds the slot problem after the
+    // last bidding round so a shard's high-water slab is only resident while
+    // its slot is solving — pair with `reserve()` of the remembered high
+    // water at the next build. A shed problem holds nothing, not even the
+    // empty problem's row-start entry: clear() it before reuse.
     void shed() noexcept;
 
     // Bytes held in the arenas (capacity, not size) — memory_footprint()
@@ -312,11 +315,15 @@ public:
     [[nodiscard]] std::vector<edge_origin_entry> edge_origins() const;
 
 private:
-    std::vector<uploader_info> uploaders_;
-    std::vector<request_info> requests_;
-    std::vector<std::uint32_t> offsets_;  // CSR row starts; requests+1 entries
-    std::vector<std::uint32_t> cand_uploader_;  // SoA candidate slab
-    std::vector<double> cand_cost_;
+    // Page-mapped (common/page_allocator.h): shed() hands the pages straight
+    // back to the OS instead of leaving them resident in malloc's heaps.
+    template <class T>
+    using slab = std::vector<T, page_allocator<T>>;
+    slab<uploader_info> uploaders_;
+    slab<request_info> requests_;
+    slab<std::uint32_t> offsets_;  // CSR row starts; requests+1 entries
+    slab<std::uint32_t> cand_uploader_;  // SoA candidate slab
+    slab<double> cand_cost_;
 };
 
 inline constexpr std::ptrdiff_t no_candidate = -1;

@@ -33,6 +33,8 @@ fleet::fleet(fleet_options options)
     }
 
     options_.swarm_options.scheduler = options_.config.scheduler;
+    expects(options_.telemetry.every_slots > 0,
+            "telemetry.every_slots must be positive");
 
     // The fleet emits the merged telemetry stream itself; shards must not
     // write to the sink (and must not know it exists), but span recording is
@@ -113,9 +115,8 @@ fleet::fleet(fleet_options options)
     add_slot_hook([this](const slot_hook_context& ctx) {
         if (!ctx.timed) return;
         if (!header_emitted_) emit_header();
-        const std::size_t every =
-            std::max<std::size_t>(1, options_.telemetry.every_slots);
-        if (ctx.slot % every == 0) emit_slot_record(ctx.merged, ctx.step_seconds);
+        if (ctx.slot % options_.telemetry.every_slots == 0)
+            emit_slot_record(ctx.merged, ctx.step_seconds);
     });
 
     rss_phases_.post_construct_mb = metrics::current_rss_mb();

@@ -1,5 +1,5 @@
-// Per-slot per-phase spans in a bounded ring buffer — the structured
-// replacement for the emulator's raw `phase_totals()` accumulators.
+// Per-slot per-phase spans in a bounded ring buffer — the emulator's phase
+// timing (per-phase run totals via total_seconds()).
 //
 // One recorder belongs to one emulator. When *disabled* (the default), every
 // entry point is an inert branch on a bool: no clock is read, no span is
@@ -17,7 +17,7 @@
 // Each lap() appends {slot, phase, start, duration} to a bounded ring
 // (capacity fixed at construction; the oldest spans are overwritten and
 // counted in dropped()) and *always* folds the duration into the per-phase
-// totals — so phase_totals() stays exact over the whole run even after the
+// totals — so total_seconds() stays exact over the whole run even after the
 // ring wraps. Durations are wall-clock: they live in the telemetry's
 // "wall" section, never in semantic fields or goldens.
 //

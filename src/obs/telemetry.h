@@ -22,7 +22,8 @@ struct telemetry_options {
     // stream itself) but forwards record_spans so per-shard traces work.
     jsonl_sink* sink = nullptr;
 
-    // Emit a "slot"/"fleet_slot" record every N slots (1 = every slot).
+    // Emit a "slot"/"fleet_slot" record every N slots (1 = every slot; must
+    // be positive — 0 is rejected at emulator/fleet construction).
     // Epoch records always go out when the economy closes an epoch.
     std::size_t every_slots = 1;
 

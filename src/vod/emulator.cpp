@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <string>
 
 #include "baseline/registry.h"
@@ -25,6 +24,8 @@ emulator::emulator(emulator_options options)
       arrival_rng_(rng_factory_.stream("arrivals")),
       peer_rng_(rng_factory_.stream("peers")) {
     options_.config.validate();
+    expects(options_.telemetry.every_slots > 0,
+            "telemetry.every_slots must be positive");
     // Externally-provided assets must match what this config would build —
     // sharing may never change behavior.
     expects(assets_->catalog.num_videos() == options_.config.num_videos &&
@@ -42,12 +43,10 @@ emulator::emulator(emulator_options options)
     core::scheduler_params params;
     params.auction = options_.auction;
     params.parallel_auction = options_.parallel_auction;
-    if (options_.delta_build) {
-        // Nothing in the slot loop reads request utilities; the delta
-        // pipeline skips the solvers' dual-recovery sweep outright.
-        params.auction.compute_request_utilities = false;
-        params.parallel_auction.compute_request_utilities = false;
-    }
+    // Nothing in the slot loop reads request utilities: skip the solvers'
+    // dual-recovery sweep outright.
+    params.auction.compute_request_utilities = false;
+    params.parallel_auction.compute_request_utilities = false;
     if (options_.warm_start_slots) {
         params.auction.warm_start_early_exit = true;
         params.parallel_auction.warm_start_early_exit = true;
@@ -59,10 +58,13 @@ emulator::emulator(emulator_options options)
     par_auction_ = dynamic_cast<core::parallel_auction_solver*>(scheduler_.get());
     exact_ = dynamic_cast<core::exact_scheduler*>(scheduler_.get());
 
-    // Mask window span: the widest word range a prefetch window can touch
-    // (begin mod 64 + prefetch chunks, rounded out), clamped to the video.
-    mask_words_ = std::min((options_.config.prefetch_chunks >> 6) + 2,
-                           (options_.config.chunks_per_video() + 63) >> 6);
+    // Mask ring: one entry per chunk of the widest request window, rounded
+    // up to a power of two so a chunk's entry is c & (ring_ - 1). Segments
+    // never exceed the tracker's neighbor count (longer ones would fall back
+    // to the reference path anyway).
+    ring_ = std::bit_ceil(std::min(options_.config.prefetch_chunks,
+                                   options_.config.chunks_per_video()));
+    seg_cap_ = std::min(options_.config.neighbor_count, delta_seg_cap);
 
     register_metrics();
     spans_ = obs::span_recorder(options_.telemetry.record_spans,
@@ -151,8 +153,9 @@ void emulator::register_metrics() {
     g_bytes_peer_ = counters_.add_gauge("ledger.bytes_peer");
     g_bytes_transit_ = counters_.add_gauge("ledger.bytes_transit");
     g_admission_queue_ = counters_.add_gauge("admission.queued");
-    // Delta-pipeline counters (zero when options.delta_build is off); new
-    // names append after every v1 metric so the slot-record prefix is stable.
+    // Slot-problem build counters (rows rebuilt from scratch vs reused from
+    // their masks, slots whose solver early-exited); new names append after
+    // every v1 metric so the slot-record prefix is stable.
     c_delta_dirty_ = counters_.add_counter("delta.dirty_rows");
     c_delta_reused_ = counters_.add_counter("delta.reused_rows");
     c_delta_early_exit_ = counters_.add_counter("delta.early_exit_slots");
@@ -173,19 +176,6 @@ void emulator::sample_counters() {
 obs::counter_registry& emulator::counters() {
     sample_counters();
     return counters_;
-}
-
-slot_phase_totals emulator::phase_totals() const noexcept {
-    slot_phase_totals t;
-    t.arrivals = spans_.total_seconds(obs::phase::arrivals);
-    t.departures = spans_.total_seconds(obs::phase::departures);
-    t.playback = spans_.total_seconds(obs::phase::playback);
-    t.neighbor_refresh = spans_.total_seconds(obs::phase::neighbor_refresh);
-    t.build = spans_.total_seconds(obs::phase::build);
-    t.solve = spans_.total_seconds(obs::phase::solve);
-    t.apply = spans_.total_seconds(obs::phase::apply);
-    t.shed = spans_.total_seconds(obs::phase::shed);
-    return t;
 }
 
 void emulator::emit_header() {
@@ -244,7 +234,9 @@ void emulator::emit_slot_record(const slot_metrics& m) {
     if (spans_.enabled()) {
         // Wall-clock delta since the previous record — segregated so the
         // semantic projection of two runs still compares byte-for-byte.
-        const double total = phase_totals().total();
+        double total = 0.0;
+        for (std::size_t p = 0; p < static_cast<std::size_t>(obs::phase::count); ++p)
+            total += spans_.total_seconds(static_cast<obs::phase>(p));
         line.begin_object("wall")
             .field("slot_s", total - last_wall_total_)
             .end_object();
@@ -348,6 +340,13 @@ std::size_t emulator::spawn_viewer(double join_time, bool pre_warmed,
                            viewer.playback_position);
     // Rows are minted in id order, so appending keeps the list ascending.
     active_viewers_.push_back(static_cast<std::uint32_t>(row));
+    // A departed viewer's slot first; its build state was reset when it left.
+    if (free_vslots_.empty()) {
+        active_vslot_.push_back(num_vslots_++);
+    } else {
+        active_vslot_.push_back(free_vslots_.back());
+        free_vslots_.pop_back();
+    }
     counters_.inc(c_arrivals_);
     return row;
 }
@@ -483,9 +482,25 @@ void emulator::process_departures() {
         counters_.inc(c_departures_);
         any = true;
     }
-    if (any)
-        std::erase_if(active_viewers_,
-                      [&](std::uint32_t row) { return peers_.departed(row); });
+    if (!any) return;
+    // Compact the live list and its viewer slots in lockstep; a departed
+    // viewer's slot goes back on the free list with its build state reset
+    // (if it was ever allocated), so the next arrival starts from scratch.
+    std::size_t out = 0;
+    for (std::size_t i = 0; i < active_viewers_.size(); ++i) {
+        const std::uint32_t row = active_viewers_[i];
+        const std::uint32_t vslot = active_vslot_[i];
+        if (peers_.departed(row)) {
+            if (vslot < delta_state_.size()) delta_state_[vslot] = delta_state{};
+            free_vslots_.push_back(vslot);
+            continue;
+        }
+        active_viewers_[out] = row;
+        active_vslot_[out] = vslot;
+        ++out;
+    }
+    active_viewers_.resize(out);
+    active_vslot_.resize(out);
 }
 
 void emulator::refresh_neighbors() {
@@ -523,17 +538,13 @@ void emulator::prefetch_link_costs() {
 
 void emulator::build_problem(double now,
                              const std::vector<std::int32_t>& round_capacity) {
-    if (options_.delta_build) {
-        build_problem_delta(now, round_capacity);
-        if (options_.delta_shadow_check) {
-            build_problem_full(now, round_capacity, shadow_problem_);
-            expects(round_problem_.problem.identical_to(shadow_problem_.problem) &&
-                        round_problem_.request_row == shadow_problem_.request_row &&
-                        round_problem_.uploader_row == shadow_problem_.uploader_row,
-                    "delta build diverged from the full rebuild");
-        }
-    } else {
-        build_problem_full(now, round_capacity, round_problem_);
+    build_problem_delta(now, round_capacity);
+    if (options_.delta_shadow_check) {
+        build_problem_full(now, round_capacity, shadow_problem_);
+        expects(round_problem_.problem.identical_to(shadow_problem_.problem) &&
+                    round_problem_.request_row == shadow_problem_.request_row &&
+                    round_problem_.uploader_row == shadow_problem_.uploader_row,
+                "delta build diverged from the full rebuild");
     }
     const slot_problem& sp = round_problem_;
     hw_uploaders_ = std::max(hw_uploaders_, sp.problem.num_uploaders());
@@ -543,11 +554,11 @@ void emulator::build_problem(double now,
 
 void emulator::register_uploaders(slot_problem& sp,
                                   const std::vector<std::int32_t>& round_capacity) {
-    sp.problem.clear();  // arena reuse: capacity from previous rounds persists
     // The arena was shed at the previous slot's end; one reserve at the
     // remembered high water replaces the geometric regrowth (first slot: all
-    // zeros, plain growth).
+    // zeros, plain growth). Later rounds of the slot find the capacity there.
     sp.problem.reserve(hw_uploaders_, hw_requests_, hw_candidates_);
+    sp.problem.clear();
     sp.uploader_of_peer.assign(peers_.rows(), UINT32_MAX);
     sp.uploader_row.clear();
     sp.request_row.clear();
@@ -643,17 +654,67 @@ void emulator::build_problem_full(double now,
 }
 
 namespace {
-// Scatters the set bits of one buffer word into 64 consecutive chunk masks:
-// buffer bit c (= chunk base+c present at neighbor j) becomes bit j of
-// mask64[c].
-inline void scatter_word(std::uint32_t* mask64, std::uint64_t word,
-                         std::uint32_t bit) noexcept {
-    while (word != 0) {
-        mask64[std::countr_zero(word)] |= bit;
-        word &= word - 1;
+// ORs `bit` into the ring mask of every chunk c in [c0, c1) set in `words`
+// (buffer words from word c0 >> 6 on): bit j of masks[c & ring_mask] marks
+// chunk c as available at segment neighbor j.
+inline void scatter_range(std::uint32_t* masks, std::size_t ring_mask,
+                          const std::uint64_t* words, std::size_t c0,
+                          std::size_t c1, std::uint32_t bit) noexcept {
+    const std::size_t w0 = c0 >> 6;
+    const std::size_t w_last = (c1 - 1) >> 6;
+    for (std::size_t w = w0; w <= w_last; ++w) {
+        std::uint64_t word = words[w - w0];
+        if (w == w0) word &= ~std::uint64_t{0} << (c0 & 63);
+        if (w == w_last && (c1 & 63) != 0)
+            word &= (std::uint64_t{1} << (c1 & 63)) - 1;
+        while (word != 0) {
+            masks[((w << 6) + static_cast<std::size_t>(std::countr_zero(word))) &
+                  ring_mask] |= bit;
+            word &= word - 1;
+        }
     }
 }
 }  // namespace
+
+void emulator::reserve_viewer_state() {
+    const std::size_t have = delta_state_.size();
+    if (have >= num_vslots_) return;
+    if (have == 0) {
+        // ttl ≥ 0, so an all-ones key (negative NaN) can never collide.
+        val_keys_.assign(std::size_t{1} << 13, ~std::uint64_t{0});
+        val_vals_.assign(std::size_t{1} << 13, 0.0);
+        delta_up_scratch_.resize(delta_seg_cap);
+        word_scratch_.resize((ring_ >> 6) + 2);
+        seed_blk_up_.resize(delta_seg_cap);
+        seed_blk_cost_.resize(delta_seg_cap);
+    }
+    // First build: exactly the minted slots (a static swarm never grows
+    // again). Later growth — arrivals past the live high water — takes 1/8
+    // headroom, so regrowth stays amortized without vector's 2x overshoot.
+    const std::size_t n =
+        have == 0 ? num_vslots_ : std::max<std::size_t>(num_vslots_, have + have / 8);
+    delta_state_.reserve(n);
+    delta_masks_.reserve(n * ring_);
+    delta_segs_.reserve(n * seg_cap_);
+    delta_state_.resize(n);
+    delta_masks_.resize(n * ring_);
+    delta_segs_.resize(n * seg_cap_);
+}
+
+void emulator::index_gains() {
+    gain_offsets_.clear();
+    if (gain_log_.empty()) return;
+    // Counting sort by row: counts land at [row + 2], the prefix sum turns
+    // them into starts shifted by one, and the fill's post-increments shift
+    // them back — leaving row r's chunks at [offsets[r], offsets[r + 1]).
+    gain_offsets_.assign(peers_.rows() + 2, 0);
+    for (const gain& g : gain_log_) ++gain_offsets_[g.row + 2];
+    for (std::size_t r = 2; r < gain_offsets_.size(); ++r)
+        gain_offsets_[r] += gain_offsets_[r - 1];
+    gain_chunks_.resize(gain_log_.size());
+    for (const gain& g : gain_log_) gain_chunks_[gain_offsets_[g.row + 1]++] = g.chunk;
+    gain_log_.clear();
+}
 
 double emulator::deadline_value(double ttl) {
     const auto bits = std::bit_cast<std::uint64_t>(ttl);
@@ -671,31 +732,22 @@ void emulator::build_problem_delta(double now,
                                    const std::vector<std::int32_t>& round_capacity) {
     slot_problem& sp = round_problem_;
     register_uploaders(sp, round_capacity);
+    ++build_round_;
+    if (active_viewers_.empty()) {
+        gain_log_.clear();
+        return;
+    }
+    index_gains();
 
     const auto& cfg = options_.config;
     const std::size_t n_chunks = cfg.chunks_per_video();
-    const std::size_t buf_words = (n_chunks + 63) >> 6;
+    const std::size_t ring_mask = ring_ - 1;
     const auto slot_idx = static_cast<std::uint32_t>(slots_.size());
-    const std::size_t rows = peers_.rows();
-    if (delta_rows_.size() < rows) {
-        delta_rows_.resize(rows);
-        delta_masks_.resize(rows * mask_words_ * 64);
-        delta_snap_.resize(rows * delta_seg_cap * mask_words_);
-        delta_segs_.resize(rows * delta_seg_cap);
-    }
-    if (val_keys_.empty()) {
-        // ttl ≥ 0, so an all-ones key (negative NaN) can never collide.
-        val_keys_.assign(std::size_t{1} << 13, ~std::uint64_t{0});
-        val_vals_.assign(std::size_t{1} << 13, 0.0);
-    }
-    delta_up_scratch_.resize(delta_seg_cap);
-    word_scratch_.resize(mask_words_);
-    seed_blk_up_.resize(delta_seg_cap);
-    seed_blk_cost_.resize(delta_seg_cap);
     std::uint64_t dirty = 0;
     std::uint64_t reused = 0;
 
-    for (std::uint32_t row : active_viewers_) {
+    for (std::size_t i = 0; i < active_viewers_.size(); ++i) {
+        const std::uint32_t row = active_viewers_[i];
         if (peers_.join_time(row) > now) continue;
         const double position = peers_.playback_position(row);
         const double playback_start = peers_.playback_start(row);
@@ -704,10 +756,10 @@ void emulator::build_problem_delta(double now,
         auto window_begin = static_cast<std::size_t>(std::ceil(position));
         std::size_t window_end = std::min(window_begin + cfg.prefetch_chunks, n_chunks);
         std::size_t idx = buffer.first_missing_in(window_begin, window_end);
-        if (idx >= window_end) continue;  // window fully buffered
 
-        delta_row_state& ds = delta_rows_[row];
-        std::uint32_t* seg = delta_segs_.data() + row * delta_seg_cap;
+        const std::size_t vslot = active_vslot_[i];
+        delta_state& ds = delta_state_[vslot];
+        std::uint32_t* seg = delta_segs_.data() + vslot * seg_cap_;
         // Per-slot segment validation: the tracker re-bootstrapped between
         // slots, so the neighbor list may have changed (churn, repair,
         // playback reordering). Within a slot the arena is immutable.
@@ -715,12 +767,12 @@ void emulator::build_problem_delta(double now,
             const std::size_t nbr_begin = neighbor_offsets_[row];
             const std::size_t nbr_end = neighbor_offsets_[row + 1];
             const std::size_t len = nbr_end - nbr_begin;
-            // The masks only represent segments of ≤ 32 live neighbors whose
-            // order equals the arena's (the departed filter a mid-slot
+            // The masks only represent segments of ≤ seg_cap_ live neighbors
+            // whose order equals the arena's (the departed filter a mid-slot
             // bootstrap could in principle trip never fires here — arrivals
             // and departures both precede the refresh — but a row that
             // violates either assumption just runs the reference path).
-            bool representable = len <= delta_seg_cap;
+            bool representable = len <= seg_cap_;
             if (representable)
                 for (std::size_t k = nbr_begin; k < nbr_end; ++k)
                     if (peers_.departed(neighbor_rows_[k])) {
@@ -745,63 +797,56 @@ void emulator::build_problem_delta(double now,
             }
         }
         if (ds.fallback != 0) {
+            if (idx >= window_end) continue;  // window fully buffered
             ++dirty;
             append_viewer_row(sp, row, now);
             continue;
         }
 
-        // --- mask maintenance ---
-        const std::size_t word_lo = window_begin >> 6;
-        const std::size_t cover = std::min(mask_words_, buf_words - word_lo);
-        std::uint32_t* masks = delta_masks_.data() + row * mask_words_ * 64;
-        std::uint64_t* snap = delta_snap_.data() + row * delta_seg_cap * mask_words_;
-        if (ds.valid == 0) {
-            // Full transpose: every viewer-neighbor's window words, fresh.
-            std::fill_n(masks, cover * 64, 0u);
-            for (std::uint32_t j = ds.seed_count; j < ds.seg_len; ++j) {
-                std::uint64_t* sj = snap + j * mask_words_;
-                peers_.buffer(seg[j]).copy_words(word_lo, cover, sj);
-                const std::uint32_t bit = 1u << j;
-                for (std::size_t w = 0; w < cover; ++w)
-                    scatter_word(masks + w * 64, sj[w], bit);
-            }
-            ds.word_lo = static_cast<std::uint32_t>(word_lo);
-            ds.cover = static_cast<std::uint32_t>(cover);
-            ds.valid = 1;
-            ++dirty;
-        } else {
-            // Incremental: re-base the window (playback only moves forward),
-            // transpose the frontier words, OR in each neighbor's new bits.
-            const std::size_t shift = word_lo - ds.word_lo;
-            const std::size_t retained =
-                shift >= ds.cover ? 0
-                                  : std::min<std::size_t>(ds.cover - shift, cover);
-            if (shift > 0 && retained > 0)
-                std::memmove(masks, masks + shift * 64,
-                             retained * 64 * sizeof(std::uint32_t));
-            if (retained < cover)
-                std::fill_n(masks + retained * 64, (cover - retained) * 64, 0u);
-            for (std::uint32_t j = ds.seed_count; j < ds.seg_len; ++j) {
-                std::uint64_t* sj = snap + j * mask_words_;
-                if (shift > 0 && retained > 0)
-                    std::memmove(sj, sj + shift, retained * sizeof(std::uint64_t));
-                peers_.buffer(seg[j]).copy_words(word_lo, cover,
-                                                 word_scratch_.data());
-                const std::uint32_t bit = 1u << j;
-                for (std::size_t w = 0; w < retained; ++w) {
-                    // Live buffers are monotone: the diff is exactly the
-                    // chunks this neighbor gained since the last round.
-                    const std::uint64_t fresh = word_scratch_[w] & ~sj[w];
-                    if (fresh != 0) scatter_word(masks + w * 64, fresh, bit);
+        // --- mask maintenance. Invariant: for every chunk c in
+        // [window_begin, ds.hi) this viewer lacks, masks[c & ring_mask] is
+        // exact as of round ds.round. Chunks it holds are never emitted again
+        // (buffers are monotone), so their entries are don't-care. ---
+        std::uint32_t* masks = delta_masks_.data() + vslot * ring_;
+        const bool fresh = ds.valid != 0 && ds.round + 1 == build_round_;
+        ds.round = build_round_;
+        ds.valid = 1;
+        const std::size_t kept_end = fresh ? std::min<std::size_t>(ds.hi, window_end)
+                                           : window_begin;
+        ds.hi = static_cast<std::uint32_t>(window_end);
+        // A fully buffered window needs no entries at all.
+        if (idx >= window_end) continue;
+        if (fresh) {
+            // Retained chunks: OR in what each viewer-neighbor gained in the
+            // previous round (the only buffer change since the last visit).
+            if (window_begin < kept_end && !gain_offsets_.empty())
+                for (std::uint32_t j = ds.seed_count; j < ds.seg_len; ++j) {
+                    const std::uint32_t n_row = seg[j];
+                    const std::uint32_t bit = 1u << j;
+                    for (std::uint32_t g = gain_offsets_[n_row];
+                         g < gain_offsets_[n_row + 1]; ++g) {
+                        const std::uint32_t c = gain_chunks_[g];
+                        if (c >= window_begin && c < kept_end)
+                            masks[c & ring_mask] |= bit;
+                    }
                 }
-                for (std::size_t w = retained; w < cover; ++w)
-                    if (word_scratch_[w] != 0)
-                        scatter_word(masks + w * 64, word_scratch_[w], bit);
-                std::copy_n(word_scratch_.data(), cover, sj);
-            }
-            ds.word_lo = static_cast<std::uint32_t>(word_lo);
-            ds.cover = static_cast<std::uint32_t>(cover);
             ++reused;
+        } else {
+            ++dirty;
+        }
+        // Entering chunks (the whole window after a reset): transpose each
+        // viewer-neighbor's current buffer words. Seeds are exempt — their
+        // full buffers are the constant seed_mask below.
+        const std::size_t enter = std::max(kept_end, window_begin);
+        if (enter < window_end) {
+            for (std::size_t c = enter; c < window_end; ++c) masks[c & ring_mask] = 0;
+            const std::size_t w0 = enter >> 6;
+            const std::size_t n_words = ((window_end + 63) >> 6) - w0;
+            for (std::uint32_t j = ds.seed_count; j < ds.seg_len; ++j) {
+                peers_.buffer(seg[j]).copy_words(w0, n_words, word_scratch_.data());
+                scatter_range(masks, ring_mask, word_scratch_.data(), enter,
+                              window_end, 1u << j);
+            }
         }
 
         // --- emission: the reference builder's candidate order, bit j of
@@ -828,9 +873,8 @@ void emulator::build_problem_delta(double now,
             ++n_seed;
         }
         const std::uint32_t viewer_elig = elig & ~seed_mask;
-        const std::size_t base = word_lo << 6;
         for (; idx < window_end; idx = buffer.first_missing_in(idx + 1, window_end)) {
-            const std::uint32_t mv = masks[idx - base] & viewer_elig;
+            const std::uint32_t mv = masks[idx & ring_mask] & viewer_elig;
             if (mv == 0 && n_seed == 0) continue;
             double deadline =
                 now < playback_start
@@ -953,6 +997,7 @@ void emulator::apply_schedule(const core::schedule& sched, slot_metrics& metrics
         const std::uint32_t downstream_row = sp.request_row[r];
         std::size_t idx = assets_->catalog.index_of(request.chunk);
         if (!peers_.buffer(downstream_row).set(idx)) continue;  // duplicate delivery guard
+        gain_log_.push_back({downstream_row, static_cast<std::uint32_t>(idx)});
         ++peers_.lifetime(downstream_row).chunks_downloaded;
         const std::uint32_t seller_row = sp.uploader_row[cand.uploader];
         ++peers_.lifetime(seller_row).chunks_uploaded;
@@ -1036,6 +1081,11 @@ const slot_metrics& emulator::step() {
     if (timed) spans_.lap(obs::phase::arrivals);
     process_departures();
     if (timed) spans_.lap(obs::phase::departures);
+    // Grow the viewer-indexed build state before this slot's arenas are
+    // reserved, so its long-lived blocks are never allocated in between the
+    // slot's transient ones.
+    if (!active_viewers_.empty()) reserve_viewer_state();
+    if (timed) spans_.lap(obs::phase::build);
     refresh_neighbors();
     if (timed) spans_.lap(obs::phase::neighbor_refresh);
     // Accounted to build: the link prefetch replaces the per-candidate cost
@@ -1123,30 +1173,26 @@ const slot_metrics& emulator::step() {
     // the phase profile, and a null sink costs one branch.
     if (options_.telemetry.sink != nullptr) {
         if (!header_emitted_) emit_header();
-        const std::size_t every =
-            std::max<std::size_t>(1, options_.telemetry.every_slots);
-        if ((slots_.size() - 1) % every == 0) emit_slot_record(slots_.back());
+        if ((slots_.size() - 1) % options_.telemetry.every_slots == 0)
+            emit_slot_record(slots_.back());
         if (epoch_closed) emit_epoch_record(price_controller_->history().back());
     }
     return slots_.back();
 }
 
 void emulator::shed_slot_memory() {
-    if (options_.delta_build) {
-        // Cross-slot state reuse is the delta pipeline's point: the CSR
-        // arena, its row maps and the solver slabs stay warm. Only the
-        // fleet's cost-cache residency contract is still honored.
-        if (options_.shed_cost_cache) {
-            costs_->shed_cache();
-            counters_.inc(c_shed_events_);
-        }
-        return;
+    for (slot_problem* sp : {&round_problem_, &shadow_problem_}) {
+        sp->problem.shed();
+        std::vector<std::uint32_t>().swap(sp->uploader_of_peer);
+        std::vector<std::uint32_t>().swap(sp->uploader_row);
+        std::vector<std::uint32_t>().swap(sp->request_row);
     }
-    slot_problem& sp = round_problem_;
-    sp.problem.shed();
-    std::vector<std::uint32_t>().swap(sp.uploader_of_peer);
-    std::vector<std::uint32_t>().swap(sp.uploader_row);
-    std::vector<std::uint32_t>().swap(sp.request_row);
+    // The gain index is rebuilt every round; the log itself survives (the
+    // next slot's first build consumes the last round's transfers) and keeps
+    // its capacity, so it is not reallocated while the next slot's arenas
+    // are live.
+    std::vector<std::uint32_t>().swap(gain_offsets_);
+    std::vector<std::uint32_t>().swap(gain_chunks_);
     scheduler_->shed_memory();
     if (options_.shed_cost_cache) costs_->shed_cache();
     counters_.inc(c_shed_events_);
@@ -1162,14 +1208,18 @@ memory_breakdown emulator::memory_footprint() const {
                         neighbor_costs_.capacity() * sizeof(double);
     mb.problem_arena = round_problem_.memory_bytes() +
                        shadow_problem_.memory_bytes() +
-                       delta_rows_.capacity() * sizeof(delta_row_state) +
+                       delta_state_.capacity() * sizeof(delta_state) +
                        delta_masks_.capacity() * sizeof(std::uint32_t) +
-                       delta_snap_.capacity() * sizeof(std::uint64_t) +
                        delta_segs_.capacity() * sizeof(std::uint32_t);
     mb.solver = scheduler_->workspace_bytes();
     mb.cost_cache = costs_->cache_bytes();
     mb.ledger = ledger_ ? ledger_->memory_bytes() : 0;
     mb.scratch = slot_prices_.capacity() * sizeof(double) +
+                 active_vslot_.capacity() * sizeof(std::uint32_t) +
+                 free_vslots_.capacity() * sizeof(std::uint32_t) +
+                 gain_log_.capacity() * sizeof(gain) +
+                 gain_offsets_.capacity() * sizeof(std::uint32_t) +
+                 gain_chunks_.capacity() * sizeof(std::uint32_t) +
                  remaining_scratch_.capacity() * sizeof(std::int32_t) +
                  round_capacity_scratch_.capacity() * sizeof(std::int32_t) +
                  batch_ids_.capacity() * sizeof(peer_id) +

@@ -149,20 +149,11 @@ struct emulator_options {
     // standing footprint drops by the biggest per-shard allocation.
     bool shed_cost_cache = false;
 
-    // --- delta slot pipeline (bench/slot_pipeline's delta arm) ---
-    // Incremental problem builds: the emulator keeps per-viewer candidate
-    // availability masks alive across rounds and slots and re-derives only
-    // what the slot's dirty set (transfers, arrivals, departures, playback
-    // advance, cost re-prices) actually changed, instead of re-gathering and
-    // re-probing every neighbor buffer each round. The built problem is
-    // bit-identical to the full rebuild (cross-checked by the shadow build
-    // below and the slot-golden suite). Also keeps the CSR arena, its row
-    // maps and the solver slabs warm across slots, and skips the solver's
-    // dual-recovery sweep (the emulator never reads request utilities).
-    bool delta_build = false;
-    // Debug cross-check: after every delta build, run the full rebuild into
-    // a shadow arena and require bit-level equality. Default-on in debug
-    // builds; the randomized churn property suite turns it on explicitly.
+    // Debug cross-check of the slot problem build: after every incremental
+    // build, run the full rebuild (the reference semantics) into a shadow
+    // arena and require bit-level equality, throwing contract_violation on
+    // any difference. Default-on in debug builds; the golden oracle tests and
+    // the randomized churn property suite turn it on explicitly.
 #ifdef NDEBUG
     bool delta_shadow_check = false;
 #else
@@ -174,29 +165,6 @@ struct emulator_options {
     // when the previous run converged. Changes schedules — separate pinned
     // slot goldens cover this configuration.
     bool warm_start_slots = false;
-};
-
-// Wall-clock seconds per slot phase, accumulated across every step() of one
-// emulator. The solve phase is the scheduler (dispatch); everything else is
-// the emulator's own per-slot data path — the subject of bench/slot_pipeline.
-// Since PR 8 this is a compat view assembled from the obs::span_recorder's
-// per-phase totals: it is all zeros unless telemetry.record_spans is set
-// (a telemetry-off slot loop performs zero timestamp syscalls).
-struct slot_phase_totals {
-    double arrivals = 0.0;          // Poisson spawns (tracker/topology inserts)
-    double departures = 0.0;        // finished/quitting peers unregistered
-    double playback = 0.0;          // position advance + deadline accounting
-    double neighbor_refresh = 0.0;  // tracker bootstrap + link-cost prefetch
-    double build = 0.0;             // scheduling_problem construction
-    double solve = 0.0;             // scheduler dispatch (incl. distributed)
-    double apply = 0.0;             // transfer application + metering
-    double shed = 0.0;              // slot-end arena/solver release + reserve
-
-    [[nodiscard]] double total() const noexcept {
-        return arrivals + departures + playback + neighbor_refresh + build +
-               solve + apply + shed;
-    }
-    [[nodiscard]] double non_solve() const noexcept { return total() - solve; }
 };
 
 struct slot_metrics {
@@ -222,7 +190,8 @@ struct memory_breakdown {
     std::size_t buffers = 0;         // dense-fallback buffer_map heap
     std::size_t tracker = 0;         // video pools + per-row records
     std::size_t neighbor_arena = 0;  // CSR offsets + rows + prefetched costs
-    std::size_t problem_arena = 0;   // slot_problem builder + row maps
+    std::size_t problem_arena = 0;   // slot_problem builder + row maps +
+                                     // viewer-indexed build state
     std::size_t solver = 0;          // scheduler persistent workspaces
     std::size_t cost_cache = 0;      // link-draw cache + batch scratch
     std::size_t ledger = 0;          // ISP traffic ledger (economy only)
@@ -263,14 +232,12 @@ public:
     [[nodiscard]] const std::vector<slot_metrics>& slots() const noexcept {
         return slots_;
     }
-    // Per-phase wall-clock totals over every slot stepped so far — a compat
-    // shim over the span recorder's totals. All zeros when spans are off.
-    [[nodiscard]] slot_phase_totals phase_totals() const noexcept;
     // Semantic counters/gauges (registration-ordered; see register_metrics()
     // in emulator.cpp for the full list). Non-const: lazily-sampled sources
     // (cache stats, tracker stats, pivots) are refreshed first.
     [[nodiscard]] obs::counter_registry& counters();
-    // Wall-clock phase spans (enabled by telemetry.record_spans).
+    // Wall-clock phase spans (enabled by telemetry.record_spans); per-phase
+    // run totals via spans().total_seconds(phase).
     [[nodiscard]] const obs::span_recorder& spans() const noexcept {
         return spans_;
     }
@@ -391,29 +358,36 @@ private:
     void prefetch_link_costs();
     // (Re)builds the round's problem into the reused arena `round_problem_`;
     // `round_capacity[row]` is what table row `row` may upload this round.
-    // Dispatches to the full rebuild or (options_.delta_build) the
-    // incremental build, optionally shadow-checking the latter.
+    // Runs the incremental build, shadow-checked against the full rebuild
+    // when options_.delta_shadow_check is set.
     void build_problem(double now, const std::vector<std::int32_t>& round_capacity);
     // Registers this round's uploaders (seeds first, then live viewers in
-    // row order) into `sp` — shared prologue of both build paths.
+    // row order) into `sp` — shared prologue of both builders.
     void register_uploaders(slot_problem& sp,
                             const std::vector<std::int32_t>& round_capacity);
-    // The pre-delta builder: gathers every eligible neighbor's window words
-    // and probes them per missing chunk. Still the reference semantics — the
-    // delta build must reproduce its output bit for bit.
+    // The reference builder: gathers every eligible neighbor's window words
+    // and probes them per missing chunk. Runs only as the shadow-check oracle
+    // — the incremental build must reproduce its output bit for bit.
     void build_problem_full(double now,
                             const std::vector<std::int32_t>& round_capacity,
                             slot_problem& sp);
     // One viewer row of the full build (gather + per-chunk probe); also the
     // delta build's fallback for rows its masks cannot represent.
     void append_viewer_row(slot_problem& sp, std::uint32_t row, double now);
-    // The incremental builder (options_.delta_build); see the "Delta
-    // pipeline" section of docs/ARCHITECTURE.md.
+    // The production builder (incremental, from the viewer-indexed masks);
+    // see the "Slot problem build" section of docs/ARCHITECTURE.md.
     void build_problem_delta(double now,
                              const std::vector<std::int32_t>& round_capacity);
+    // Grows the viewer-indexed build state to cover every minted viewer
+    // slot (called at slot start, before any build); the first call — the
+    // first slot with a viewer — also allocates the deadline_value cache, so
+    // a swarm without viewers allocates neither.
+    void reserve_viewer_state();
+    // Indexes gain_log_ by row into gain_offsets_/gain_chunks_ and clears it.
+    void index_gains();
     // Memoized assets_->valuation.value(ttl) (bit-exact; direct-mapped on the
-    // ttl's bit pattern) — the delta build's request loop is hot enough that
-    // the valuation's log() shows up.
+    // ttl's bit pattern) — the build's request loop is hot enough that the
+    // valuation's log() shows up.
     double deadline_value(double ttl);
     // `slot_prices` carries each uploader's λ across the bidding rounds of
     // one distributed (or warm-started synchronous) slot — prices reset at
@@ -424,11 +398,13 @@ private:
                             std::vector<double>& slot_prices);
     void apply_schedule(const core::schedule& sched, slot_metrics& metrics,
                         std::vector<std::int32_t>& remaining_capacity);
-    // Slot-end memory discipline: returns the problem arena, its row maps and
-    // the solver workspaces to the allocator, remembering their high-water
-    // sizes so the next slot's build can reserve() once instead of regrowing.
-    // With shards stepped slot-lockstep this keeps only ~threads() slabs
-    // resident at a time instead of one per swarm forever.
+    // Slot-end memory discipline: returns the problem arena (and the shadow
+    // arena), its row maps and the solver workspaces to the allocator,
+    // remembering their high-water sizes so the next slot's build can
+    // reserve() once instead of regrowing. With shards stepped slot-lockstep
+    // this keeps only ~threads() slabs resident at a time instead of one per
+    // swarm forever. Only the viewer-indexed build state (masks, segments),
+    // the deadline cache and the last round's transfer log survive the slot.
     void shed_slot_memory();
 
     emulator_options options_;
@@ -533,43 +509,65 @@ private:
     std::vector<std::int32_t> remaining_scratch_;
     std::vector<std::int32_t> round_capacity_scratch_;
     std::vector<peer_id> batch_ids_;  // cost_batch input per viewer
-    // Build-loop scratch: per viewer, the window words of each eligible
-    // neighbor's buffer gathered side by side, so the candidate loop tests
-    // bits in L1 instead of probing every neighbor's bitmap per chunk.
+    // Reference-builder scratch (append_viewer_row): per viewer, the window
+    // words of each eligible neighbor's buffer gathered side by side, so the
+    // candidate loop tests bits in L1 instead of probing every neighbor's
+    // bitmap per chunk.
     std::vector<std::uint64_t> cand_words_;
     std::vector<std::uint32_t> cand_uploader_;
     std::vector<double> cand_cost_;
 
-    // --- delta pipeline state (options_.delta_build) ---
-    // Per-viewer chunk×neighbor availability masks: for table row r with
-    // segment (= this slot's neighbor list, identically ordered) of length
-    // seg_len ≤ 32, mask word c holds bit j iff segment neighbor j's buffer
-    // has chunk (word_lo<<6)+c. Seeds occupy the segment's leading run and
-    // their (full, immutable) buffers are the constant seed_mask instead of
-    // mask bits. Buffer bits are monotone for live peers, so round-to-round
-    // maintenance is an OR of each neighbor's snapshot-diffed new words;
-    // playback advance re-bases the window by memmove and transposes only
-    // the frontier words. Per-round eligibility (capacity left) and the
-    // slot's fresh link costs are applied at emission time, so the masks
-    // survive capacity exhaustion and cost re-prices untouched.
-    struct delta_row_state {
-        std::uint8_t valid = 0;     // masks/snapshots below are live
-        std::uint8_t fallback = 0;  // this slot runs the legacy row path
+    // --- slot problem build state ---
+    // Per-viewer chunk×neighbor availability masks: for a viewer whose
+    // segment (= this slot's neighbor list, identically ordered) has length
+    // seg_len ≤ seg_cap_, the mask of window chunk c — a ring of ring_
+    // entries indexed by c mod ring_ — holds bit j iff segment neighbor j's
+    // buffer has chunk c. Seeds occupy the segment's leading run and their
+    // (full, immutable) buffers are the constant seed_mask instead of mask
+    // bits. Buffer bits are monotone for live peers and only transfers set
+    // them, so round-to-round maintenance ORs in the previous round's
+    // transfers (gain_log_) for the chunks the window keeps, and transposes
+    // the neighbors' buffer words only for the chunks playback advance brings
+    // into the window. Per-round eligibility (capacity left) and the slot's
+    // fresh link costs are applied at emission time, so the masks survive
+    // capacity exhaustion and cost re-prices untouched.
+    //
+    // The state is indexed by viewer slot, not table row: a viewer takes a
+    // slot at spawn (from free_vslots_ first) and returns it at departure,
+    // and seeds never take one. Table rows are never recycled, so this keeps
+    // the state proportional to the live-viewer high-water mark instead of
+    // every row ever minted. active_vslot_[i] is active_viewers_[i]'s slot.
+    struct delta_state {
+        std::uint8_t valid = 0;     // masks are maintained (see invariant)
+        std::uint8_t fallback = 0;  // this slot runs the reference row path
         // Slot index of the last segment check; the sentinel forces a first
         // validation (slot 0 is a real index).
         std::uint32_t slot = 0xffffffffu;
+        std::uint32_t round = 0;      // build_round_ of the last maintenance
         std::uint32_t nbr_begin = 0;  // this slot's neighbor-arena offset
         std::uint32_t seg_len = 0;
         std::uint32_t seed_count = 0;  // leading seed rows → seed_mask
-        std::uint32_t word_lo = 0;     // first buffer word the masks cover
-        std::uint32_t cover = 0;       // covered words (≤ mask_words_)
+        std::uint32_t hi = 0;          // window end at the last maintenance
     };
     static constexpr std::size_t delta_seg_cap = 32;  // mask bits per chunk
-    std::size_t mask_words_ = 0;  // buffer words one mask window spans
-    std::vector<delta_row_state> delta_rows_;     // by table row
-    std::vector<std::uint32_t> delta_masks_;      // row × (mask_words_·64)
-    std::vector<std::uint64_t> delta_snap_;       // row × seg × mask_words_
-    std::vector<std::uint32_t> delta_segs_;       // row × seg: last seg rows
+    std::size_t seg_cap_ = 0;  // segment stride: min(neighbor_count, 32)
+    std::size_t ring_ = 0;     // mask ring entries: a power of two ≥ window
+    std::uint32_t build_round_ = 0;  // incremental builds run so far
+    std::vector<std::uint32_t> active_vslot_;   // parallel to active_viewers_
+    std::vector<std::uint32_t> free_vslots_;    // slots of departed viewers
+    std::uint32_t num_vslots_ = 0;              // slots minted so far
+    std::vector<delta_state> delta_state_;      // by viewer slot
+    std::vector<std::uint32_t> delta_masks_;    // slot × ring_
+    std::vector<std::uint32_t> delta_segs_;     // slot × seg: last seg rows
+    // Chunks each row gained through transfers since the last build: logged
+    // by apply_schedule, indexed by row (CSR) at the next build's start.
+    struct gain {
+        std::uint32_t row;
+        std::uint32_t chunk;
+    };
+    std::vector<gain> gain_log_;
+    std::vector<std::uint32_t> gain_offsets_;  // rows + 2; empty = no gains
+    std::vector<std::uint32_t> gain_chunks_;
     std::vector<std::uint32_t> delta_up_scratch_; // uploader per segment pos
     std::vector<std::uint64_t> word_scratch_;     // one neighbor's cur words
     std::vector<std::uint32_t> seed_blk_up_;      // eligible-seed block: uploaders

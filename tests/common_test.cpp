@@ -2,10 +2,12 @@
 
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
 #include "common/contracts.h"
 #include "common/ids.h"
 #include "common/logging.h"
+#include "common/page_allocator.h"
 
 namespace p2pcd {
 namespace {
@@ -75,6 +77,21 @@ TEST(logging, threshold_filters_messages) {
     log(log_level::warn, "test") << "dropped";
     log(log_level::error, "test") << "kept " << 42;
     set_log_level(previous);
+}
+
+// Both paths of the page allocator hold data and release it: a small block
+// comes from operator new, one past page_allocator_min_bytes is mapped.
+TEST(page_allocator, small_and_mapped_blocks_round_trip) {
+    for (const std::size_t n : {std::size_t{1000},
+                                page_allocator_min_bytes / sizeof(double) + 1}) {
+        std::vector<double, page_allocator<double>> v(n, 1.5);
+        v.back() = 2.5;
+        EXPECT_EQ(v.front(), 1.5) << n;
+        EXPECT_EQ(v.back(), 2.5) << n;
+        v.push_back(3.5);  // regrows: allocate, copy, deallocate the old block
+        EXPECT_EQ(v[n - 1], 2.5) << n;
+        EXPECT_EQ(v.back(), 3.5) << n;
+    }
 }
 
 }  // namespace

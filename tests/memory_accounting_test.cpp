@@ -147,20 +147,101 @@ TEST(emulator_memory, exact_scheduler_arena_is_accounted_and_shed) {
     solver.shed_memory();
     EXPECT_EQ(solver.workspace_bytes(), 0u);
 
-    // Delta builds keep solver workspaces warm across slots; the full-build
-    // pipeline sheds them at slot end.
-    for (const bool delta : {true, false}) {
+    // One residency policy: every emulator sheds the solver workspaces (and
+    // the problem arena) at slot end.
+    vod::emulator_options opts;
+    opts.config = workload::scenario_config::small_test();
+    opts.scheduler = "exact";
+    vod::emulator emu(opts);
+    emu.step();
+    EXPECT_EQ(emu.memory_footprint().solver, 0u);
+}
+
+// The deadline_value cache: 2^13 (ttl bits, value) cells.
+constexpr std::size_t deadline_cache_bytes =
+    (std::size_t{1} << 13) * (sizeof(std::uint64_t) + sizeof(double));
+
+// An arrival-driven swarm is empty at slot 0 (the first Poisson arrival
+// lands after t = 0). The slot-end shed leaves no problem arena behind and
+// the build state — masks, snapshots and the deadline cache — is allocated
+// only once a viewer row is built, so the empty slot allocates none of it.
+TEST(emulator_memory, empty_arrival_swarm_allocates_no_build_state) {
+    vod::emulator_options opts;
+    opts.config = workload::scenario_config::coupled_smoke();
+    opts.config.initial_peers = 0;
+    vod::emulator emu(opts);
+    emu.step();
+    ASSERT_EQ(emu.online_viewers(), 0u);
+    const vod::memory_breakdown empty = emu.memory_footprint();
+    EXPECT_EQ(empty.problem_arena, 0u);
+    EXPECT_LT(empty.scratch, deadline_cache_bytes) << "deadline cache allocated";
+
+    // Non-vacuous: once viewers arrive, both show up.
+    while (emu.online_viewers() == 0) emu.step();
+    const vod::memory_breakdown live = emu.memory_footprint();
+    EXPECT_GT(live.problem_arena, 0u);
+    EXPECT_GE(live.scratch, deadline_cache_bytes);
+}
+
+// Build state is indexed by viewer slot, and seeds never take one: the same
+// viewers hold the same build-state bytes whether each video has one seed
+// per ISP or four.
+TEST(emulator_memory, seeds_hold_no_build_state) {
+    auto arena_with_seeds = [](std::size_t seeds_per_isp_per_video) {
         vod::emulator_options opts;
         opts.config = workload::scenario_config::small_test();
-        opts.scheduler = "exact";
-        opts.delta_build = delta;
+        opts.config.seeds_per_isp_per_video = seeds_per_isp_per_video;
         vod::emulator emu(opts);
         emu.step();
-        if (delta)
-            EXPECT_GT(emu.memory_footprint().solver, 0u);
-        else
-            EXPECT_EQ(emu.memory_footprint().solver, 0u);
+        return emu.memory_footprint().problem_arena;
+    };
+    const std::size_t one = arena_with_seeds(1);
+    EXPECT_GT(one, 0u);
+    EXPECT_EQ(arena_with_seeds(4), one);
+}
+
+// Under churn, table rows are never recycled but viewer slots are: the
+// build state follows the live-viewer high-water mark (plus the 1/8 growth
+// headroom), not the number of rows ever minted.
+TEST(emulator_memory, build_state_follows_live_viewer_high_water) {
+    vod::emulator_options opts;
+    opts.config = workload::scenario_config::economy_smoke();
+    opts.config.initial_peers = 20;
+    opts.config.arrival_rate = 1.5;
+    opts.config.departure_probability = 0.5;
+    opts.config.horizon_seconds = 400.0;
+
+    // Per-viewer bytes from a static twin: its first build sizes the state
+    // to exactly its viewers.
+    vod::emulator_options static_opts = opts;
+    static_opts.config.arrival_rate = 0.0;
+    static_opts.config.departure_probability = 0.0;
+    vod::emulator twin(static_opts);
+    twin.step();
+    const std::size_t per_viewer =
+        twin.memory_footprint().problem_arena / opts.config.initial_peers;
+    ASSERT_GT(per_viewer, 0u);
+    EXPECT_EQ(twin.memory_footprint().problem_arena,
+              per_viewer * opts.config.initial_peers);
+
+    vod::emulator emu(opts);
+    std::size_t live = opts.config.initial_peers;
+    std::size_t high_water = live;
+    std::uint64_t arrivals = emu.counters().counter_named("peers.arrivals");
+    for (std::size_t k = 0; k < opts.config.num_slots(); ++k) {
+        emu.step();
+        // Arrivals are processed before departures within a slot, so the
+        // slot's peak is the previous population plus its arrivals.
+        const std::uint64_t now_arrivals = emu.counters().counter_named("peers.arrivals");
+        high_water = std::max<std::size_t>(high_water, live + (now_arrivals - arrivals));
+        arrivals = now_arrivals;
+        live = emu.online_viewers();
     }
+    const std::size_t rows_ever = emu.peers().rows();
+    ASSERT_GT(rows_ever, 3 * high_water) << "churn too weak to tell the two apart";
+    const std::size_t arena = emu.memory_footprint().problem_arena;
+    EXPECT_LE(arena, per_viewer * (high_water + high_water / 8 + 1));
+    EXPECT_LT(arena, per_viewer * rows_ever / 2);
 }
 
 TEST(fleet_memory, shared_assets_are_counted_once) {

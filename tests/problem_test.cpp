@@ -133,6 +133,26 @@ TEST(problem, clear_resets_content_but_reuses_the_arena) {
     EXPECT_EQ(view.candidates(r2).size(), 1u);
 }
 
+// shed() returns every byte (memory_bytes() reads 0); clear() makes the
+// shed builder usable again.
+TEST(problem, shed_releases_everything_and_clear_restores) {
+    scheduling_problem p;
+    auto u = p.add_uploader(peer_id(3), 2);
+    auto r = p.add_request(peer_id(1), chunk_id(0), 2.0);
+    p.add_candidate(r, u, 0.5);
+    EXPECT_GT(p.memory_bytes(), 0u);
+
+    p.shed();
+    EXPECT_EQ(p.memory_bytes(), 0u);
+
+    p.clear();
+    auto u2 = p.add_uploader(peer_id(9), 1);
+    auto r2 = p.add_request(peer_id(8), chunk_id(7), 5.0);
+    p.add_candidate(r2, u2, 1.0);
+    EXPECT_EQ(p.view().num_requests(), 1u);
+    EXPECT_EQ(p.view().candidates(r2).size(), 1u);
+}
+
 TEST(problem, schedule_assigned_helper) {
     schedule s;
     s.choice = {no_candidate, 2};

@@ -40,7 +40,9 @@ struct scenario_run_options {
     std::size_t solver_threads = 1;  // auction-par only
     bool warm_start = false;
     bool warm_start_slots = false;  // prices survive slot boundaries
-    bool delta = false;  // incremental problem builds (delta_build)
+    // Run the full rebuild as a shadow of every round's incremental build
+    // (delta_shadow_check; throws on any bit-level difference).
+    bool shadow = false;
     std::size_t max_slots = 0;  // 0 = the scenario's full horizon
     bool telemetry = false;  // full pipeline: counters + spans + JSONL sink
 };
@@ -53,7 +55,7 @@ run_hashes run_scenario(const std::string& name,
     opts.parallel_auction.num_threads = ro.solver_threads;
     opts.warm_start_rounds = ro.warm_start;
     opts.warm_start_slots = ro.warm_start_slots;
-    opts.delta_build = ro.delta;
+    if (ro.shadow) opts.delta_shadow_check = true;
     std::ostringstream telemetry_out;
     std::optional<obs::jsonl_sink> sink;
     if (ro.telemetry) {
@@ -204,24 +206,26 @@ TEST(slot_golden, telemetry_on_and_off_schedules_identical) {
     EXPECT_EQ(on.final_state, off.final_state) << "telemetry changed peer state";
 }
 
-// The delta pipeline's contract is bit-identity with the full rebuild, so a
-// delta_build run must land on the SAME golden constants as the full-build
-// runs above — there is no separate capture for the incremental path.
-TEST(slot_golden, economy_smoke_delta_build_matches_same_golden) {
-    check_against("economy_smoke", "-DELTA", golden_for("economy_smoke"),
-                  run_scenario("economy_smoke", {.delta = true}));
+// The full-build oracle: the incremental build (the only production
+// builder) is shadowed by the full rebuild on every bidding round and must
+// match it bit for bit, and the shadow-checked run must land on the SAME
+// golden constants as the production runs above — so the reference
+// semantics the shadow check enforces stay pinned to the goldens too.
+TEST(slot_golden, economy_smoke_full_build_oracle_matches_same_golden) {
+    check_against("economy_smoke", "-ORACLE", golden_for("economy_smoke"),
+                  run_scenario("economy_smoke", {.shadow = true}));
 }
 
-TEST(slot_golden, metro_5k_delta_build_matches_same_golden) {
-    check_against("metro_5k", "-DELTA", golden_for("metro_5k"),
-                  run_scenario("metro_5k", {.delta = true}));
+TEST(slot_golden, metro_5k_full_build_oracle_matches_same_golden) {
+    check_against("metro_5k", "-ORACLE", golden_for("metro_5k"),
+                  run_scenario("metro_5k", {.shadow = true}));
 }
 
 TEST(slot_golden, economy_smoke_delta_parallel_matches_pinned) {
-    check_against("economy_smoke", "-DELTA-PAR",
+    check_against("economy_smoke", "-ORACLE-PAR",
                   golden_parallel_for("economy_smoke"),
                   run_scenario("economy_smoke",
-                               {.scheduler = "auction-par", .delta = true}));
+                               {.scheduler = "auction-par", .shadow = true}));
 }
 
 // Cross-slot warm starts intentionally change schedules (final prices seed
@@ -240,15 +244,15 @@ TEST(slot_golden, economy_smoke_warm_slots_parallel_pinned) {
                                                  .warm_start_slots = true}));
 }
 
-// Warm slot reuse composed with the delta build: the early-exit ε schedule
-// must not disturb the bit-identity contract, so the combined run lands on
-// the same warm-slots golden as the full-build warm run.
+// Warm slot reuse under the full-build oracle: the early-exit ε schedule
+// must not disturb the bit-identity contract, so the shadow-checked run
+// lands on the same warm-slots golden.
 TEST(slot_golden, economy_smoke_warm_slots_delta_matches_same_golden) {
-    check_against("economy_smoke", "-WARMSLOTS-DELTA-PAR",
+    check_against("economy_smoke", "-WARMSLOTS-ORACLE-PAR",
                   &golden_warm_slots_economy_par,
                   run_scenario("economy_smoke",
                                {.scheduler = "auction-par",
-                                .warm_start_slots = true, .delta = true}));
+                                .warm_start_slots = true, .shadow = true}));
 }
 
 TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {
