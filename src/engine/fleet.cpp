@@ -48,13 +48,6 @@ fleet::fleet(fleet_options options)
     if (!options_.swarm_options.assets)
         options_.swarm_options.assets = vod::shared_assets::make(base);
 
-    // Fleet shards always shed their cost-model link caches at slot end:
-    // with shards stepped slot-lockstep only ~threads caches are ever warm
-    // at once, so the fleet's standing footprint drops by what used to be
-    // its single biggest per-shard allocation. Draws are pure functions of
-    // the link key, so semantic results are unchanged.
-    options_.swarm_options.shed_cost_cache = true;
-
     // Cross-swarm coupling state, built before the shards so each shard can
     // attach the shared peering graph and its surcharge table slice.
     const capacity::coupling_config& coupling = options_.config.coupling;

@@ -1,6 +1,7 @@
 #include "net/cost_model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <utility>
 
@@ -8,16 +9,39 @@
 
 namespace p2pcd::net {
 
+void cost_params::validate() const {
+    expects(std::isfinite(inter_mean), "costs.inter_mean must be finite");
+    expects(std::isfinite(inter_stddev) && inter_stddev > 0.0,
+            "costs.inter_stddev must be positive and finite");
+    expects(std::isfinite(inter_lo) && std::isfinite(inter_hi),
+            "costs.inter_lo and costs.inter_hi must be finite");
+    expects(inter_lo < inter_hi, "costs.inter_lo must be below costs.inter_hi");
+    expects(std::isfinite(intra_mean), "costs.intra_mean must be finite");
+    expects(std::isfinite(intra_stddev) && intra_stddev > 0.0,
+            "costs.intra_stddev must be positive and finite");
+    expects(std::isfinite(intra_lo) && std::isfinite(intra_hi),
+            "costs.intra_lo and costs.intra_hi must be finite");
+    expects(intra_lo < intra_hi, "costs.intra_lo must be below costs.intra_hi");
+    expects(cache_capacity > 0, "costs.cache_capacity must be >= 1");
+}
+
+namespace {
+// Validates before any member is built from the parameters, so a bad field
+// is reported by name rather than by a sampler's constructor.
+const cost_params& validated(const cost_params& params) {
+    params.validate();
+    return params;
+}
+}  // namespace
+
 cost_model::cost_model(const isp_topology& topology, const cost_params& params,
                        sim::rng_stream& rng)
     : topology_(&topology),
-      params_(params),
+      params_(validated(params)),
       link_seed_(static_cast<std::uint64_t>(rng.uniform_int(
           0, std::numeric_limits<std::int64_t>::max() - 1))),
       inter_(params.inter_mean, params.inter_stddev, params.inter_lo, params.inter_hi),
-      intra_(params.intra_mean, params.intra_stddev, params.intra_lo, params.intra_hi) {
-    expects(params_.cache_capacity > 0, "link-cache capacity must be >= 1");
-}
+      intra_(params.intra_mean, params.intra_stddev, params.intra_lo, params.intra_hi) {}
 
 void cost_model::attach_peering(const isp::peering_graph* graph) {
     expects(graph == nullptr || graph->num_isps() == topology_->num_isps(),
@@ -86,6 +110,20 @@ std::uint64_t cost_model::link_key(peer_id u, peer_id d, bool crosses) const {
     return (a << 32) | b | (crosses ? std::uint64_t{1} << 63 : std::uint64_t{0});
 }
 
+double cost_model::fresh_draw(std::uint64_t key) const {
+    // The draw is a pure function of (link_seed, pair, class): mix seed and
+    // pair into a throwaway stream (the class picks the distribution), so
+    // costs are reproducible and churn-proof.
+    const bool crosses = (key >> 63) != 0;
+    const std::uint64_t pair_key = key & ~(std::uint64_t{1} << 63);
+    std::uint64_t mixed = link_seed_ ^ (pair_key * 0x9e3779b97f4a7c15ull);
+    mixed ^= mixed >> 29;
+    mixed *= 0xbf58476d1ce4e5b9ull;
+    mixed ^= mixed >> 32;
+    sim::mt19937_64_prefix link_rng(mixed);
+    return crosses ? inter_.sample(link_rng) : intra_.sample(link_rng);
+}
+
 double cost_model::cached_draw(std::uint64_t key) const {
     std::size_t slot = 0;
     if (!cache_keys_.empty()) {
@@ -100,17 +138,7 @@ double cost_model::cached_draw(std::uint64_t key) const {
         }
     }
     ++cache_misses_;
-    // The draw is a pure function of (link_seed, pair, class): mix seed and
-    // pair into a throwaway stream (the class picks the distribution), so
-    // costs are reproducible and churn-proof.
-    const bool crosses = (key >> 63) != 0;
-    const std::uint64_t pair_key = key & ~(std::uint64_t{1} << 63);
-    std::uint64_t mixed = link_seed_ ^ (pair_key * 0x9e3779b97f4a7c15ull);
-    mixed ^= mixed >> 29;
-    mixed *= 0xbf58476d1ce4e5b9ull;
-    mixed ^= mixed >> 32;
-    sim::rng_stream link_rng(mixed);
-    const double draw = crosses ? inter_.sample(link_rng) : intra_.sample(link_rng);
+    const double draw = fresh_draw(key);
     if (cache_count_ >= params_.cache_capacity) {
         std::fill(cache_keys_.begin(), cache_keys_.end(), cache_empty);
         cache_count_ = 0;
@@ -131,25 +159,16 @@ double cost_model::cached_draw(std::uint64_t key) const {
 double cost_model::cost(peer_id u, peer_id d) const {
     const isp_id m = topology_->isp_of(u);
     const isp_id n = topology_->isp_of(d);
-    const bool crosses = m != n;
-    const double draw = cached_draw(link_key(u, d, crosses));
-    const double surcharge =
-        surcharge_ == nullptr
-            ? 1.0
-            : surcharge_[static_cast<std::size_t>(m.value()) *
-                             topology_->num_isps() +
-                         static_cast<std::size_t>(n.value())];
-    if (peering_ == nullptr) return draw * surcharge;
-
-    // Economy mode: the flat draw acts as unit jitter around the live
-    // directed pair price (direction taken before canonicalization, so
-    // asymmetric pricing survives symmetric jitter).
-    const double mean = crosses ? params_.inter_mean : params_.intra_mean;
-    const double price = peering_->price(m, n);
-    return (mean > 0.0 ? draw / mean * price : price) * surcharge;
+    return price(cached_draw(link_key(u, d, m != n)), m, n);
 }
 
-void cost_model::cost_batch(std::span<const peer_id> uploaders, peer_id d,
+double cost_model::uncached_cost(peer_id u, peer_id d) const {
+    const isp_id m = topology_->isp_of(u);
+    const isp_id n = topology_->isp_of(d);
+    return price(fresh_draw(link_key(u, d, m != n)), m, n);
+}
+
+void cost_model::draw_batch(std::span<const peer_id> uploaders, peer_id d,
                             std::span<double> out) const {
     expects(out.size() >= uploaders.size(), "output span too small");
     const isp_id n = topology_->isp_of(d);
@@ -165,25 +184,16 @@ void cost_model::cost_batch(std::span<const peer_id> uploaders, peer_id d,
         for (std::uint64_t key : keys_scratch_)
             __builtin_prefetch(&cache_keys_[cache_slot_hash(key) & mask]);
     }
-    const std::size_t num_isps = topology_->num_isps();
-    for (std::size_t i = 0; i < uploaders.size(); ++i) {
-        const double draw = cached_draw(keys_scratch_[i]);
-        const double surcharge =
-            surcharge_ == nullptr
-                ? 1.0
-                : surcharge_[static_cast<std::size_t>(
-                                 topology_->isp_of(uploaders[i]).value()) *
-                                 num_isps +
-                             static_cast<std::size_t>(n.value())];
-        if (peering_ == nullptr) {
-            out[i] = draw * surcharge;
-            continue;
-        }
-        const bool crosses = (keys_scratch_[i] >> 63) != 0;
-        const double mean = crosses ? params_.inter_mean : params_.intra_mean;
-        const double price = peering_->price(topology_->isp_of(uploaders[i]), n);
-        out[i] = (mean > 0.0 ? draw / mean * price : price) * surcharge;
-    }
+    for (std::size_t i = 0; i < uploaders.size(); ++i)
+        out[i] = cached_draw(keys_scratch_[i]);
+}
+
+void cost_model::cost_batch(std::span<const peer_id> uploaders, peer_id d,
+                            std::span<double> out) const {
+    draw_batch(uploaders, d, out);
+    const isp_id n = topology_->isp_of(d);
+    for (std::size_t i = 0; i < uploaders.size(); ++i)
+        out[i] = price(out[i], topology_->isp_of(uploaders[i]), n);
 }
 
 }  // namespace p2pcd::net

@@ -5,33 +5,46 @@
 // (ordered peer pair), with the distribution picked by whether the pair
 // crosses an ISP boundary: inter N(5, 1) on [1, 10], intra N(1, 1) on [0, 2].
 //
-// Costs are sampled lazily and deterministically: the draw for a pair is a
-// pure function of (seed, u, d, crossing class), so the model is
-// reproducible, needs no upfront O(peers²) table, and survives churn (a
-// re-queried pair always gets the same cost; a peer re-added to a different
-// ISP re-draws under its new class). `symmetric` (default) makes
-// w(u,d) == w(d,u), as expected of link latency.
+// A cost is two parts:
+//   * the link *draw* (`draw_batch`) — a pure function of (seed, u, d,
+//     crossing class), sampled lazily and deterministically, so the model
+//     is reproducible, needs no upfront O(peers²) table, and survives churn
+//     (a re-queried pair always gets the same draw; a peer re-added to a
+//     different ISP re-draws under its new class). `symmetric` (default)
+//     makes draw(u,d) == draw(d,u), as expected of link latency;
+//   * its live *price* — `price(draw, isp(u), isp(d))`, one inline function
+//     that cost() and cost_batch() both apply, and that a caller holding a
+//     draw can apply itself (the emulator keeps each viewer's draws across
+//     slots and only re-prices them).
 //
 // ISP economy: `attach_peering` plugs in an `isp::peering_graph`, and the
 // flat inter/intra dichotomy generalizes to the per-ISP-pair price matrix.
-// The cached flat draw becomes a unit jitter (draw ÷ its distribution mean)
-// rescaled by the *live* directed pair price at query time:
+// The draw becomes a unit jitter (draw ÷ its distribution mean) rescaled by
+// the *live* directed pair price:
 //     w(u→d) = draw / mean × price(isp(u), isp(d))
 // so price updates from the isp::price_controller steer subsequent slots
 // with no cache invalidation, and asymmetric pricing yields asymmetric
 // costs even when the underlying jitter is symmetric. Without a graph the
-// behavior is bit-identical to the classic dichotomy.
+// behavior is bit-identical to the classic dichotomy. A congestion
+// surcharge table (`attach_surcharge`) multiplies either form.
 //
-// The lazily-filled cache is bounded: at `cost_params::cache_capacity`
+// Each draw seeds a throwaway generator from the link key. It is a
+// sim::mt19937_64_prefix — std::mt19937_64's exact output sequence, computed
+// lazily — so a draw pays for the handful of outputs it reads instead of
+// seeding and twisting a full 312-word state.
+//
+// Draws are cached in a bounded table: at `cost_params::cache_capacity`
 // entries it is flushed (draws are pure functions of the link, so a flush
 // never changes a cost), which keeps unbounded churn from growing it without
 // limit; `cache_stats()` exposes hit/miss/flush counters. Storage is a flat
-// open-addressing table (linear probing, ≤ 50% load): the emulator's
-// neighbor-arena prefetch probes it once per (viewer, neighbor) link per
-// slot, and a flat probe is a fraction of an unordered_map node walk.
+// open-addressing table (linear probing, ≤ 50% load). The emulator probes it
+// only for links whose draws it does not already hold — new or changed
+// neighbor segments, and rows its build cannot represent as a segment — and
+// sheds it at every slot end.
 #ifndef P2PCD_NET_COST_MODEL_H
 #define P2PCD_NET_COST_MODEL_H
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -61,6 +74,11 @@ struct cost_params {
     // while halving the per-shard slot-array footprint (the fleet's largest
     // standing allocation per the memory_footprint() audit).
     std::size_t cache_capacity = 1u << 19;
+
+    // Rejects parameters the samplers or the cache cannot run on (a
+    // non-positive or non-finite stddev, lo >= hi, a non-finite mean or
+    // bound, a zero cache capacity), naming the offending field.
+    void validate() const;
 };
 
 struct cost_cache_stats {
@@ -76,15 +94,47 @@ public:
     cost_model(const isp_topology& topology, const cost_params& params,
                sim::rng_stream& rng);
 
-    // Cost of shipping one chunk over the u → d link.
+    // Cost of shipping one chunk over the u → d link:
+    // price(draw of the u → d link, isp(u), isp(d)).
     [[nodiscard]] double cost(peer_id u, peer_id d) const;
 
     // Batched cost() toward one downstream peer: out[i] = cost(uploaders[i],
     // d), with the cache slots software-prefetched ahead of the probes so a
-    // sweep over a peer's neighbor set overlaps its memory latency. The
-    // emulator's per-slot link prefetch runs on this.
+    // sweep over a peer's neighbor set overlaps its memory latency.
     void cost_batch(std::span<const peer_id> uploaders, peer_id d,
                     std::span<double> out) const;
+
+    // The unpriced link draws toward one downstream peer: out[i] = the
+    // cached draw of the uploaders[i] → d link, a pure function of the link
+    // and its crossing class. Prefetched like cost_batch().
+    void draw_batch(std::span<const peer_id> uploaders, peer_id d,
+                    std::span<double> out) const;
+
+    // The live cost of `draw` on an m → n link: draw × surcharge, or
+    // draw / mean × price(m, n) × surcharge under an attached peering graph
+    // (mean = the draw's distribution mean). cost() and cost_batch() price
+    // through this very function, so re-pricing a held draw is bit-equal to
+    // a fresh query.
+    [[nodiscard]] double price(double draw, isp_id m, isp_id n) const {
+        const double surcharge =
+            surcharge_ == nullptr
+                ? 1.0
+                : surcharge_[static_cast<std::size_t>(m.value()) *
+                                 topology_->num_isps() +
+                             static_cast<std::size_t>(n.value())];
+        if (peering_ == nullptr) return draw * surcharge;
+        // Economy mode: the flat draw acts as unit jitter around the live
+        // directed pair price (direction taken before canonicalization, so
+        // asymmetric pricing survives symmetric jitter).
+        const double mean = m != n ? params_.inter_mean : params_.intra_mean;
+        const double pair_price = peering_->price(m, n);
+        return (mean > 0.0 ? draw / mean * pair_price : pair_price) * surcharge;
+    }
+
+    // cost() derived afresh: no cache probe or fill, so the cache and its
+    // counters stay untouched. An independent reference for checks that
+    // must not share state with the production path.
+    [[nodiscard]] double uncached_cost(peer_id u, peer_id d) const;
 
     // Expected cost between two ISPs: the live peering price when a graph is
     // attached, otherwise the relevant flat distribution's mean.
@@ -111,7 +161,7 @@ public:
     // Returns the link-draw cache's storage to the allocator (stats and
     // behavior survive: draws are pure functions of the link key, so every
     // future query re-derives the same cost — only hit/miss counters move).
-    // The fleet calls this per shard at slot end so a 200-swarm run keeps
+    // Every emulator calls this at slot end, so a 200-swarm fleet keeps
     // ~threads warm caches instead of one per swarm forever.
     void shed_cache();
 
@@ -143,11 +193,13 @@ private:
     void cache_grow() const;  // doubles the slot array and rehashes
     // Packs (u, d, class) into the cache key (canonicalized when symmetric).
     [[nodiscard]] std::uint64_t link_key(peer_id u, peer_id d, bool crosses) const;
-    // Cache probe + draw-on-miss for a packed key.
+    // The draw for a packed key, derived afresh (no cache access).
+    [[nodiscard]] double fresh_draw(std::uint64_t key) const;
+    // Cache probe + fresh_draw-on-miss for a packed key.
     [[nodiscard]] double cached_draw(std::uint64_t key) const;
     mutable std::vector<std::uint64_t> cache_keys_;  // cache_empty = free slot
     mutable std::vector<double> cache_vals_;
-    mutable std::vector<std::uint64_t> keys_scratch_;  // cost_batch pass 1
+    mutable std::vector<std::uint64_t> keys_scratch_;  // draw_batch pass 1
     mutable std::size_t cache_count_ = 0;
     mutable std::uint64_t cache_hits_ = 0;
     mutable std::uint64_t cache_misses_ = 0;

@@ -8,7 +8,9 @@
 #ifndef P2PCD_SIM_DISTRIBUTIONS_H
 #define P2PCD_SIM_DISTRIBUTIONS_H
 
+#include <algorithm>
 #include <cstddef>
+#include <random>
 #include <vector>
 
 #include "sim/rng.h"
@@ -22,7 +24,24 @@ class truncated_normal {
 public:
     truncated_normal(double mean, double stddev, double lo, double hi);
 
-    [[nodiscard]] double sample(rng_stream& rng) const;
+    // Draws from any UniformRandomBitGenerator: two generators that yield the
+    // same output sequence (std::mt19937_64 and mt19937_64_prefix with one
+    // seed) give bit-equal samples.
+    template <class Generator>
+    [[nodiscard]] double sample(Generator& gen) const {
+        constexpr int max_tries = 64;
+        for (int i = 0; i < max_tries; ++i) {
+            const double x = std::normal_distribution<double>(mean_, stddev_)(gen);
+            if (x >= lo_ && x <= hi_) return x;
+        }
+        // The truncation window is far in the tail; fall back to clamping,
+        // which preserves boundedness (the property the paper relies on).
+        return std::clamp(std::normal_distribution<double>(mean_, stddev_)(gen),
+                          lo_, hi_);
+    }
+    [[nodiscard]] double sample(rng_stream& rng) const {
+        return sample(rng.engine());
+    }
 
     [[nodiscard]] double mean() const noexcept { return mean_; }
     [[nodiscard]] double stddev() const noexcept { return stddev_; }

@@ -7,7 +7,10 @@
 #ifndef P2PCD_SIM_RNG_H
 #define P2PCD_SIM_RNG_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string_view>
 
@@ -43,6 +46,72 @@ public:
 
 private:
     std::mt19937_64 engine_;
+};
+
+// Exactly std::mt19937_64(seed)'s output sequence, computed lazily — for
+// throwaway streams that read only a few outputs (the cost model seeds one
+// per link draw). Seeding the standard engine fills its 312-word state and
+// the first output twists all of it: 624 multiply-xor steps before anything
+// is read. But output k < 156 (state_size − shift_size) of the first twist
+// reads only seed-chain words k, k + 1 and k + 156, so this engine extends
+// the chain on demand: 157 + k steps for the first k + 1 outputs. From
+// output 156 on it hands over to a real std::mt19937_64 advanced past the
+// outputs already served, so the sequence is exact at any length.
+class mt19937_64_prefix {
+    using std_engine = std::mt19937_64;
+
+public:
+    using result_type = std_engine::result_type;
+    // Outputs served from the lazy seed chain before the hand-over.
+    static constexpr std::size_t prefix_outputs =
+        std_engine::state_size - std_engine::shift_size;
+
+    explicit mt19937_64_prefix(result_type seed) : seed_(seed) {
+        chain_[0] = seed;
+        for (std::size_t i = 1; i <= std_engine::shift_size; ++i) extend(i);
+    }
+
+    static constexpr result_type min() { return std_engine::min(); }
+    static constexpr result_type max() { return std_engine::max(); }
+
+    result_type operator()() {
+        if (served_ < prefix_outputs) {
+            const std::size_t k = served_++;
+            if (k > 0) extend(k + std_engine::shift_size);
+            // The first twist's step for word k (mask_bits = r).
+            constexpr result_type upper = ~result_type{0} << std_engine::mask_bits;
+            const result_type y = (chain_[k] & upper) | (chain_[k + 1] & ~upper);
+            return temper(chain_[k + std_engine::shift_size] ^ (y >> 1) ^
+                          ((y & 1) != 0 ? std_engine::xor_mask : result_type{0}));
+        }
+        if (!tail_) {
+            tail_.emplace(seed_);
+            tail_->discard(prefix_outputs);
+        }
+        return (*tail_)();
+    }
+
+private:
+    // Seed-chain word i from word i − 1 (the standard's seed(value) step).
+    void extend(std::size_t i) {
+        const result_type x = chain_[i - 1];
+        chain_[i] = std_engine::initialization_multiplier *
+                        (x ^ (x >> (std_engine::word_size - 2))) +
+                    i;
+    }
+
+    static result_type temper(result_type z) {
+        z ^= (z >> std_engine::tempering_u) & std_engine::tempering_d;
+        z ^= (z << std_engine::tempering_s) & std_engine::tempering_b;
+        z ^= (z << std_engine::tempering_t) & std_engine::tempering_c;
+        return z ^ (z >> std_engine::tempering_l);
+    }
+
+    result_type seed_;
+    std::size_t served_ = 0;
+    // Seed-chain words; [0, served_ + shift_size] hold their values.
+    std::array<result_type, std_engine::state_size> chain_{};
+    std::optional<std_engine> tail_;  // built only past prefix_outputs
 };
 
 // Derives independent streams from a master seed by hashing stream names

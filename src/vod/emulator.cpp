@@ -518,22 +518,74 @@ void emulator::refresh_neighbors() {
 }
 
 void emulator::prefetch_link_costs() {
-    // One probe per (viewer, neighbor) link per slot. The builder re-reads
-    // each link cost up to prefetch_chunks × rounds times per slot; costs
-    // are constant within the slot (peering prices move only at epoch
-    // close), so one batched probe per link turns all of those into array
-    // reads.
+    // Once per slot: the builder re-reads each link cost up to
+    // prefetch_chunks × rounds times per slot, and costs are constant within
+    // the slot, so pricing every link here turns all of those into array
+    // reads. The tracker re-bootstrapped since the last slot, so each
+    // viewer's neighbor list may have changed (churn, repair, playback
+    // reordering); within the slot the arena is immutable.
     neighbor_costs_.resize(neighbor_rows_.size());
-    for (std::uint32_t row : active_viewers_) {
+    // The peer ids of `len` arena rows, as the cost model's batch input.
+    auto ids_of = [this](const std::uint32_t* rows, std::size_t len) {
+        batch_ids_.resize(len);
+        for (std::size_t k = 0; k < len; ++k) batch_ids_[k] = peers_.id(rows[k]);
+        return std::span<const peer_id>(batch_ids_);
+    };
+    for (std::size_t i = 0; i < active_viewers_.size(); ++i) {
+        const std::uint32_t row = active_viewers_[i];
         const peer_id me = peers_.id(row);
-        const std::size_t begin = neighbor_offsets_[row];
-        const std::size_t end = neighbor_offsets_[row + 1];
-        batch_ids_.resize(end - begin);
-        for (std::size_t k = begin; k < end; ++k)
-            batch_ids_[k - begin] = peers_.id(neighbor_rows_[k]);
-        costs_->cost_batch(batch_ids_, me,
-                           std::span<double>(neighbor_costs_).subspan(begin, end - begin));
+        const std::size_t nbr_begin = neighbor_offsets_[row];
+        const std::size_t len = neighbor_offsets_[row + 1] - nbr_begin;
+        const std::uint32_t* arena = neighbor_rows_.data() + nbr_begin;
+        double* out = neighbor_costs_.data() + nbr_begin;
+        const std::size_t vslot = active_vslot_[i];
+        delta_state& ds = delta_state_[vslot];
+        // The masks only represent segments of ≤ seg_cap_ live neighbors
+        // whose order equals the arena's (the departed filter a mid-slot
+        // bootstrap could in principle trip never fires here — arrivals and
+        // departures both precede the refresh — but a row that violates
+        // either assumption just runs the reference path).
+        bool representable = len <= seg_cap_;
+        if (representable)
+            for (std::size_t k = 0; k < len; ++k)
+                if (peers_.departed(arena[k])) {
+                    representable = false;
+                    break;
+                }
+        ds.fallback = representable ? 0 : 1;
+        if (!representable) {
+            costs_->cost_batch(ids_of(arena, len), me, std::span<double>(out, len));
+            continue;
+        }
+        std::uint32_t* seg = delta_segs_.data() + vslot * seg_cap_;
+        double* draws = delta_draws_.data() + vslot * seg_cap_;
+        const bool same = ds.valid != 0 && ds.seg_len == len &&
+                          std::equal(arena, arena + len, seg);
+        if (!same) {
+            // A new segment: only its links consult the cost model.
+            std::copy_n(arena, len, seg);
+            ds.seg_len = static_cast<std::uint32_t>(len);
+            std::uint32_t sc = 0;
+            while (sc < len && seg[sc] < num_seeds_) ++sc;
+            ds.seed_count = sc;
+            ds.valid = 0;  // forces the build's full mask transpose
+            costs_->draw_batch(ids_of(seg, len), me, std::span<double>(draws, len));
+        }
+        ds.nbr_begin = static_cast<std::uint32_t>(nbr_begin);
+        // Live prices every slot: epochs and coupling still steer costs.
+        const isp_id my_isp = peers_.isp(row);
+        for (std::size_t k = 0; k < len; ++k)
+            out[k] = costs_->price(draws[k], peers_.isp(seg[k]), my_isp);
     }
+    if (!options_.delta_shadow_check) return;
+    // The oracle's own link costs, straight from the cost model: a stale
+    // held draw or a mispriced link in the pass above cannot leak into the
+    // reference build, and the cache counters see none of these queries.
+    shadow_costs_.resize(neighbor_rows_.size());
+    for (std::uint32_t row : active_viewers_)
+        for (std::size_t k = neighbor_offsets_[row]; k < neighbor_offsets_[row + 1]; ++k)
+            shadow_costs_[k] =
+                costs_->uncached_cost(peers_.id(neighbor_rows_[k]), peers_.id(row));
 }
 
 void emulator::build_problem(double now,
@@ -579,7 +631,8 @@ void emulator::register_uploaders(slot_problem& sp,
     }
 }
 
-void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now) {
+void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now,
+                                 const std::vector<double>& link_costs) {
     const auto& cfg = options_.config;
     const std::size_t n_chunks = cfg.chunks_per_video();
     const double position = peers_.playback_position(row);
@@ -614,7 +667,7 @@ void emulator::append_viewer_row(slot_problem& sp, std::uint32_t row, double now
         peers_.buffer(n_row).copy_words(word_lo, n_words,
                                         cand_words_.data() + at);
         cand_uploader_.push_back(uploader);
-        cand_cost_.push_back(neighbor_costs_[k]);
+        cand_cost_.push_back(link_costs[k]);
     }
     if (cand_uploader_.empty()) return;
 
@@ -649,7 +702,7 @@ void emulator::build_problem_full(double now,
     register_uploaders(sp, round_capacity);
     for (std::uint32_t row : active_viewers_) {
         if (peers_.join_time(row) > now) continue;
-        append_viewer_row(sp, row, now);
+        append_viewer_row(sp, row, now, shadow_costs_);
     }
 }
 
@@ -696,9 +749,11 @@ void emulator::reserve_viewer_state() {
     delta_state_.reserve(n);
     delta_masks_.reserve(n * ring_);
     delta_segs_.reserve(n * seg_cap_);
+    delta_draws_.reserve(n * seg_cap_);
     delta_state_.resize(n);
     delta_masks_.resize(n * ring_);
     delta_segs_.resize(n * seg_cap_);
+    delta_draws_.resize(n * seg_cap_);
 }
 
 void emulator::index_gains() {
@@ -742,7 +797,6 @@ void emulator::build_problem_delta(double now,
     const auto& cfg = options_.config;
     const std::size_t n_chunks = cfg.chunks_per_video();
     const std::size_t ring_mask = ring_ - 1;
-    const auto slot_idx = static_cast<std::uint32_t>(slots_.size());
     std::uint64_t dirty = 0;
     std::uint64_t reused = 0;
 
@@ -759,47 +813,11 @@ void emulator::build_problem_delta(double now,
 
         const std::size_t vslot = active_vslot_[i];
         delta_state& ds = delta_state_[vslot];
-        std::uint32_t* seg = delta_segs_.data() + vslot * seg_cap_;
-        // Per-slot segment validation: the tracker re-bootstrapped between
-        // slots, so the neighbor list may have changed (churn, repair,
-        // playback reordering). Within a slot the arena is immutable.
-        if (ds.slot != slot_idx) {
-            const std::size_t nbr_begin = neighbor_offsets_[row];
-            const std::size_t nbr_end = neighbor_offsets_[row + 1];
-            const std::size_t len = nbr_end - nbr_begin;
-            // The masks only represent segments of ≤ seg_cap_ live neighbors
-            // whose order equals the arena's (the departed filter a mid-slot
-            // bootstrap could in principle trip never fires here — arrivals
-            // and departures both precede the refresh — but a row that
-            // violates either assumption just runs the reference path).
-            bool representable = len <= seg_cap_;
-            if (representable)
-                for (std::size_t k = nbr_begin; k < nbr_end; ++k)
-                    if (peers_.departed(neighbor_rows_[k])) {
-                        representable = false;
-                        break;
-                    }
-            ds.slot = slot_idx;
-            ds.fallback = representable ? 0 : 1;
-            if (representable) {
-                const std::uint32_t* arena = neighbor_rows_.data() + nbr_begin;
-                const bool same = ds.valid != 0 && ds.seg_len == len &&
-                                  std::equal(arena, arena + len, seg);
-                if (!same) {
-                    std::copy_n(arena, len, seg);
-                    ds.seg_len = static_cast<std::uint32_t>(len);
-                    std::uint32_t sc = 0;
-                    while (sc < len && seg[sc] < num_seeds_) ++sc;
-                    ds.seed_count = sc;
-                    ds.valid = 0;  // forces the full mask transpose below
-                }
-                ds.nbr_begin = static_cast<std::uint32_t>(nbr_begin);
-            }
-        }
+        const std::uint32_t* seg = delta_segs_.data() + vslot * seg_cap_;
         if (ds.fallback != 0) {
             if (idx >= window_end) continue;  // window fully buffered
             ++dirty;
-            append_viewer_row(sp, row, now);
+            append_viewer_row(sp, row, now, neighbor_costs_);
             continue;
         }
 
@@ -1193,8 +1211,11 @@ void emulator::shed_slot_memory() {
     // are live.
     std::vector<std::uint32_t>().swap(gain_offsets_);
     std::vector<std::uint32_t>().swap(gain_chunks_);
+    std::vector<double>().swap(shadow_costs_);
     scheduler_->shed_memory();
-    if (options_.shed_cost_cache) costs_->shed_cache();
+    // Clean rows price their stored draws, so the link cache is only the
+    // current slot's working set for changed segments and fallback rows.
+    costs_->shed_cache();
     counters_.inc(c_shed_events_);
 }
 
@@ -1208,9 +1229,11 @@ memory_breakdown emulator::memory_footprint() const {
                         neighbor_costs_.capacity() * sizeof(double);
     mb.problem_arena = round_problem_.memory_bytes() +
                        shadow_problem_.memory_bytes() +
+                       shadow_costs_.capacity() * sizeof(double) +
                        delta_state_.capacity() * sizeof(delta_state) +
                        delta_masks_.capacity() * sizeof(std::uint32_t) +
-                       delta_segs_.capacity() * sizeof(std::uint32_t);
+                       delta_segs_.capacity() * sizeof(std::uint32_t) +
+                       delta_draws_.capacity() * sizeof(double);
     mb.solver = scheduler_->workspace_bytes();
     mb.cost_cache = costs_->cache_bytes();
     mb.ledger = ledger_ ? ledger_->memory_bytes() : 0;

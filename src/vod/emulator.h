@@ -142,13 +142,6 @@ struct emulator_options {
     // to pre-coupling behavior, and no "admission" rng stream is drawn from.
     capacity::admission_params admission;
 
-    // Return the cost model's link-draw cache to the allocator at every slot
-    // end (draws are pure functions of the link key, so costs never change —
-    // only cache hit/miss counters do). Set by the fleet: with shards stepped
-    // slot-lockstep only ~threads caches are warm at once, so the fleet's
-    // standing footprint drops by the biggest per-shard allocation.
-    bool shed_cost_cache = false;
-
     // Debug cross-check of the slot problem build: after every incremental
     // build, run the full rebuild (the reference semantics) into a shadow
     // arena and require bit-level equality, throwing contract_violation on
@@ -352,9 +345,12 @@ private:
     void process_departures();
     void advance_playback(double from, double to, slot_metrics& metrics);
     void refresh_neighbors();
-    // Fills neighbor_costs_ for this slot's arena (one batched cost-model
-    // probe per link). Timed under the build phase: it replaces the
-    // per-candidate cost lookups the pre-refactor build performed.
+    // The once-per-slot segment pass: validates every live viewer's segment
+    // against this slot's arena and fills neighbor_costs_ — unchanged
+    // segments re-price their stored draws, changed ones re-draw, and rows
+    // no segment can represent query cost_batch. Timed under the build
+    // phase: it replaces the per-candidate cost lookups the pre-refactor
+    // build performed.
     void prefetch_link_costs();
     // (Re)builds the round's problem into the reused arena `round_problem_`;
     // `round_capacity[row]` is what table row `row` may upload this round.
@@ -366,14 +362,18 @@ private:
     void register_uploaders(slot_problem& sp,
                             const std::vector<std::int32_t>& round_capacity);
     // The reference builder: gathers every eligible neighbor's window words
-    // and probes them per missing chunk. Runs only as the shadow-check oracle
-    // — the incremental build must reproduce its output bit for bit.
+    // and probes them per missing chunk. Runs only as the shadow-check oracle,
+    // on its own link costs (shadow_costs_) — the incremental build must
+    // reproduce its output bit for bit.
     void build_problem_full(double now,
                             const std::vector<std::int32_t>& round_capacity,
                             slot_problem& sp);
     // One viewer row of the full build (gather + per-chunk probe); also the
-    // delta build's fallback for rows its masks cannot represent.
-    void append_viewer_row(slot_problem& sp, std::uint32_t row, double now);
+    // delta build's fallback for rows its masks cannot represent. Reads
+    // the row's link costs from `link_costs` (arena-parallel): the fallback
+    // passes neighbor_costs_, the oracle its independent shadow_costs_.
+    void append_viewer_row(slot_problem& sp, std::uint32_t row, double now,
+                           const std::vector<double>& link_costs);
     // The production builder (incremental, from the viewer-indexed masks);
     // see the "Slot problem build" section of docs/ARCHITECTURE.md.
     void build_problem_delta(double now,
@@ -460,9 +460,9 @@ private:
 
     // Per-slot neighbor arena (CSR): row r's neighbors of this slot are
     // neighbor_rows_[neighbor_offsets_[r] .. neighbor_offsets_[r+1]), with
-    // the u→d link cost of each prefetched into the parallel
-    // neighbor_costs_ (one cost-model probe per link per slot; link costs
-    // are constant within a slot — peering prices move only at epoch close).
+    // the u→d link cost of each priced into the parallel neighbor_costs_
+    // once per slot (link costs are constant within a slot — peering prices
+    // and surcharges move only between slots).
     // Offsets are u32: the arena holds < 2^32 links (enforced in refresh).
     std::vector<std::uint32_t> neighbor_offsets_;
     std::vector<std::uint32_t> neighbor_rows_;
@@ -508,7 +508,7 @@ private:
     std::vector<double> slot_prices_;
     std::vector<std::int32_t> remaining_scratch_;
     std::vector<std::int32_t> round_capacity_scratch_;
-    std::vector<peer_id> batch_ids_;  // cost_batch input per viewer
+    std::vector<peer_id> batch_ids_;  // draw/cost batch input per viewer
     // Reference-builder scratch (append_viewer_row): per viewer, the window
     // words of each eligible neighbor's buffer gathered side by side, so the
     // candidate loop tests bits in L1 instead of probing every neighbor's
@@ -532,6 +532,13 @@ private:
     // fresh link costs are applied at emission time, so the masks survive
     // capacity exhaustion and cost re-prices untouched.
     //
+    // Beside each segment the viewer keeps its links' draws (the cost
+    // model's draw of the segment neighbor j → viewer link). A draw is a
+    // pure function of the link, so while the segment is unchanged the slot
+    // pass only re-prices the draws at the live peering prices and
+    // surcharges, and the cost model's cache sees just the links of changed
+    // segments.
+    //
     // The state is indexed by viewer slot, not table row: a viewer takes a
     // slot at spawn (from free_vslots_ first) and returns it at departure,
     // and seeds never take one. Table rows are never recycled, so this keeps
@@ -540,9 +547,6 @@ private:
     struct delta_state {
         std::uint8_t valid = 0;     // masks are maintained (see invariant)
         std::uint8_t fallback = 0;  // this slot runs the reference row path
-        // Slot index of the last segment check; the sentinel forces a first
-        // validation (slot 0 is a real index).
-        std::uint32_t slot = 0xffffffffu;
         std::uint32_t round = 0;      // build_round_ of the last maintenance
         std::uint32_t nbr_begin = 0;  // this slot's neighbor-arena offset
         std::uint32_t seg_len = 0;
@@ -559,6 +563,7 @@ private:
     std::vector<delta_state> delta_state_;      // by viewer slot
     std::vector<std::uint32_t> delta_masks_;    // slot × ring_
     std::vector<std::uint32_t> delta_segs_;     // slot × seg: last seg rows
+    std::vector<double> delta_draws_;           // slot × seg: their draws
     // Chunks each row gained through transfers since the last build: logged
     // by apply_schedule, indexed by row (CSR) at the next build's start.
     struct gain {
@@ -575,6 +580,9 @@ private:
     std::vector<std::uint64_t> val_keys_;  // deadline_value cache (ttl bits)
     std::vector<double> val_vals_;
     slot_problem shadow_problem_;  // delta_shadow_check rebuild target
+    // delta_shadow_check's arena-parallel link costs, priced per slot by
+    // cost_model::uncached_cost — never from the held draws or the cache.
+    std::vector<double> shadow_costs_;
     bool slot_saw_early_exit_ = false;  // any round's solver early-exited
 
     // Raw λ-change log from distributed slots plus the slot starts, from

@@ -23,6 +23,7 @@ void scenario_config::validate() const {
             "itself caps throughput");
     expects(initial_position_max_fraction > 0.0 && initial_position_max_fraction <= 1.0,
             "initial position fraction must be in (0, 1]");
+    costs.validate();
     economy.validate();
 }
 

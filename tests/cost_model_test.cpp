@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "common/contracts.h"
 
@@ -223,6 +226,57 @@ TEST(cost_model, cheapest_local_link_beats_valuation_floor) {
     for (int d = 1; d < 8; ++d)
         cheapest = std::min(cheapest, costs.cost(peer_id(0), peer_id(d)));
     EXPECT_LT(cheapest, 0.8);
+}
+
+// FNV-1a over the bit patterns of 10 000 link costs: 100 uploaders × 100
+// downstream peers spread over 5 ISPs, priced through cost_batch() and
+// required bit-equal to cost(). Optionally prices through an asymmetric
+// peering graph and a surcharge table.
+std::uint64_t link_cost_hash(bool peering, bool surcharge) {
+    isp_topology topo(5);
+    for (int i = 0; i < 200; ++i) topo.add_peer(peer_id(i), isp_id(i % 5));
+    sim::rng_stream rng(2014);
+    cost_model costs(topo, cost_params{}, rng);
+    isp::peering_graph graph(5);
+    std::vector<double> table(25);
+    for (int m = 0; m < 5; ++m)
+        for (int n = 0; n < 5; ++n) {
+            graph.set_link(isp_id(m), isp_id(n),
+                           {m == n ? 0.5 + 0.25 * m : 2.0 + m + 0.5 * n, 0.0,
+                            m == n ? isp::relationship::sibling
+                                   : isp::relationship::transit});
+            table[static_cast<std::size_t>(m * 5 + n)] = 1.0 + 0.125 * (m * 5 + n);
+        }
+    if (peering) costs.attach_peering(&graph);
+    if (surcharge) costs.attach_surcharge(table.data());
+
+    std::vector<peer_id> uploaders;
+    for (int u = 0; u < 100; ++u) uploaders.push_back(peer_id(u));
+    std::vector<double> out(uploaders.size());
+    std::uint64_t h = 1469598103934665603ull;
+    for (int d = 100; d < 200; ++d) {
+        costs.cost_batch(uploaders, peer_id(d), out);
+        for (std::size_t i = 0; i < uploaders.size(); ++i) {
+            const auto bits = std::bit_cast<std::uint64_t>(out[i]);
+            EXPECT_EQ(bits, std::bit_cast<std::uint64_t>(
+                                costs.cost(uploaders[i], peer_id(d))));
+            for (int b = 0; b < 64; b += 8) {
+                h ^= (bits >> b) & 0xffu;
+                h *= 1099511628211ull;
+            }
+        }
+    }
+    return h;
+}
+
+TEST(cost_model, pinned_link_cost_hash) {
+    // Every link cost is a pure function of (seed, link, class) and the live
+    // prices: these constants pin the draw stream bit for bit, so a change to
+    // the sampler, its generator or the pricing arithmetic shows up here.
+    EXPECT_EQ(link_cost_hash(false, false), 0xe64a964e593ff6beull);
+    EXPECT_EQ(link_cost_hash(true, false), 0xa663f65177954221ull);
+    EXPECT_EQ(link_cost_hash(false, true), 0x39a75e63ef0d49a3ull);
+    EXPECT_EQ(link_cost_hash(true, true), 0xd3d42a8965963161ull);
 }
 
 }  // namespace

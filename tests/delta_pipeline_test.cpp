@@ -10,14 +10,19 @@
 // bit-level difference (problem, request rows, uploader rows), and the tests
 // additionally step an unchecked twin and require the exact same slot
 // metrics and counters (the oracle observes, it never steers; welfare is
-// compared as exact doubles, not approximately).
+// compared as exact doubles, not approximately). The oracle prices every
+// link straight from the cost model, so a stale or mispriced draw held by
+// the production path cannot hide behind it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "engine/fleet.h"
 #include "vod/emulator.h"
+#include "workload/fleet_config.h"
 
 namespace p2pcd::vod {
 namespace {
@@ -141,6 +146,82 @@ TEST(delta_pipeline_warm, warm_start_slots_keeps_delta_identity) {
     EXPECT_GT(counter_value(checked, "delta.early_exit_slots"), 0u);
     EXPECT_EQ(counter_value(checked, "delta.early_exit_slots"),
               counter_value(plain, "delta.early_exit_slots"));
+}
+
+// Viewers keep their links' draws across slots and re-price them at the
+// live prices. economy_smoke's pricing epochs move peering prices between
+// slots while most segments stay put, so the held draws are re-priced at
+// new prices; the oracle must agree on every round, and it must not move
+// the cost-cache counters.
+TEST(delta_pipeline_costs, economy_epochs_reprice_held_draws) {
+    auto opts_of = [](bool shadow) {
+        emulator_options opts;
+        opts.config = workload::scenario_config::economy_smoke();
+        opts.config.horizon_seconds = 120.0;  // 12 slots, 4 pricing epochs
+        opts.delta_shadow_check = shadow;
+        return opts;
+    };
+    emulator plain(opts_of(false));
+    emulator checked(opts_of(true));
+    for (std::size_t k = 0; k < 12; ++k) {
+        const slot_metrics& mf = plain.step();
+        const slot_metrics& md = checked.step();
+        ASSERT_EQ(mf.transfers, md.transfers) << "slot " << k;
+        ASSERT_EQ(mf.social_welfare, md.social_welfare) << "slot " << k;
+    }
+    // Some epoch closed before the last slot and moved a price.
+    bool moved = false;
+    for (const isp::epoch_summary& e : checked.price_epochs())
+        if (e.first_slot + e.num_slots < 12 && e.raised + e.lowered > 0) moved = true;
+    EXPECT_TRUE(moved) << "no price moved under the held draws";
+    EXPECT_GT(counter_value(checked, "delta.reused_rows"), 0u);
+    for (const char* name : {"cost.cache_hits", "cost.cache_misses"})
+        EXPECT_EQ(counter_value(plain, name), counter_value(checked, name)) << name;
+}
+
+// In a coupled fleet the serial hook rewrites every shard's surcharge table
+// between slots; held draws must pick the new surcharges up.
+TEST(delta_pipeline_costs, coupled_fleet_surcharges_reprice_held_draws) {
+    auto opts_of = [](bool shadow) {
+        engine::fleet_options opts;
+        opts.config = workload::fleet_config::coupled_smoke_fleet();
+        // Every ISP seeds every video, so the auction keeps traffic local;
+        // the random baseline crosses ISPs and saturates the quartered pools.
+        opts.config.scheduler = "random";
+        opts.swarm_options.delta_shadow_check = shadow;
+        return opts;
+    };
+    engine::fleet plain(opts_of(false));
+    engine::fleet checked(opts_of(true));
+    std::size_t saturated = 0;
+    for (std::size_t k = 0; k < checked.num_slots(); ++k) {
+        const engine::fleet_slot_metrics& mf = plain.step();
+        const engine::fleet_slot_metrics& md = checked.step();
+        ASSERT_EQ(mf.transfers, md.transfers) << "slot " << k;
+        ASSERT_EQ(mf.social_welfare, md.social_welfare) << "slot " << k;
+        if (k + 1 < checked.num_slots())
+            saturated = std::max(saturated, checked.link_stats().saturated_pairs);
+    }
+    EXPECT_GT(saturated, 0u) << "no pair saturated, so no surcharge moved";
+}
+
+// Churn changes segments: arrivals, early quitters and recycled viewer
+// slots make the slot pass re-draw, so the cost cache keeps taking misses
+// after the first slot — and the oracle must agree on every round.
+TEST(delta_pipeline_costs, churn_redraws_changed_segments) {
+    emulator plain(churny_options(31, /*shadow=*/false));
+    emulator checked(churny_options(31, /*shadow=*/true));
+    std::uint64_t misses_after_first = 0;
+    for (std::size_t k = 0; k < 30; ++k) {
+        const slot_metrics& mf = plain.step();
+        const slot_metrics& md = checked.step();
+        ASSERT_EQ(mf.transfers, md.transfers) << "slot " << k;
+        ASSERT_EQ(mf.social_welfare, md.social_welfare) << "slot " << k;
+        if (k == 0) misses_after_first = counter_value(checked, "cost.cache_misses");
+    }
+    EXPECT_GT(counter_value(checked, "cost.cache_misses"), misses_after_first);
+    EXPECT_EQ(counter_value(plain, "cost.cache_misses"),
+              counter_value(checked, "cost.cache_misses"));
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <random>
 
 #include "common/contracts.h"
 
@@ -46,6 +51,52 @@ TEST(truncated_normal, far_tail_window_still_returns_in_bounds) {
     double x = dist.sample(rng);
     EXPECT_GE(x, 8.0);
     EXPECT_LE(x, 9.0);
+}
+
+// Counts the outputs a sampler reads, so a test can show which part of the
+// lazy engine it exercised.
+struct counting_prefix {
+    using result_type = mt19937_64_prefix::result_type;
+    static constexpr result_type min() { return mt19937_64_prefix::min(); }
+    static constexpr result_type max() { return mt19937_64_prefix::max(); }
+    result_type operator()() {
+        ++outputs;
+        return engine();
+    }
+    mt19937_64_prefix engine;
+    std::size_t outputs = 0;
+};
+
+// Samples through std::mt19937_64 and through mt19937_64_prefix on the same
+// seed must be bit-equal; returns the most outputs one seed's samples read.
+std::size_t expect_bit_equal_samples(const truncated_normal& dist) {
+    std::size_t most_outputs = 0;
+    for (std::uint64_t seed = 0; seed < 300; ++seed) {
+        const std::uint64_t mixed = seed * 0x9e3779b97f4a7c15ull;
+        std::mt19937_64 reference(mixed);
+        counting_prefix lazy{mt19937_64_prefix(mixed)};
+        for (int n = 0; n < 3; ++n)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.sample(reference)),
+                      std::bit_cast<std::uint64_t>(dist.sample(lazy)))
+                << "seed " << mixed << ", sample " << n;
+        most_outputs = std::max(most_outputs, lazy.outputs);
+    }
+    return most_outputs;
+}
+
+TEST(truncated_normal, lazy_engine_samples_bit_equal_on_the_papers_windows) {
+    expect_bit_equal_samples(truncated_normal(5.0, 1.0, 1.0, 10.0));  // inter
+    expect_bit_equal_samples(truncated_normal(1.0, 1.0, 0.0, 2.0));   // intra
+}
+
+TEST(truncated_normal, lazy_engine_samples_bit_equal_through_the_clamp) {
+    // N(0,1) on [6,7]: rejection essentially never accepts, so every sample
+    // spends its 64 tries and clamps — reading well past output 156, where
+    // the lazy engine hands over to the standard one.
+    const truncated_normal dist(0.0, 1.0, 6.0, 7.0);
+    EXPECT_GT(expect_bit_equal_samples(dist), mt19937_64_prefix::prefix_outputs);
+    counting_prefix lazy{mt19937_64_prefix(7)};
+    EXPECT_EQ(dist.sample(lazy), 6.0) << "the clamp, not an accepted draw";
 }
 
 TEST(truncated_normal, validates_parameters) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <concepts>
+#include <cstdint>
+#include <random>
+
 namespace p2pcd::sim {
 namespace {
 
@@ -65,6 +69,33 @@ TEST(rng_factory, different_master_seeds_differ) {
     for (int i = 0; i < 4; ++i)
         if (a.uniform_int(0, 1 << 30) != b.uniform_int(0, 1 << 30)) all_equal = false;
     EXPECT_FALSE(all_equal);
+}
+
+// The lazy engine must reproduce std::mt19937_64 output for output: through
+// its seed-chain prefix (outputs 0–155), the hand-over to the real engine,
+// and the tail past it.
+void expect_standard_stream(std::uint64_t seed) {
+    std::mt19937_64 reference(seed);
+    mt19937_64_prefix lazy(seed);
+    for (int k = 0; k < 400; ++k)
+        ASSERT_EQ(lazy(), reference()) << "seed " << seed << ", output " << k;
+}
+
+TEST(mt19937_64_prefix, matches_standard_engine_on_edge_seeds) {
+    static_assert(mt19937_64_prefix::prefix_outputs == 156);
+    for (std::uint64_t seed : {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0}})
+        expect_standard_stream(seed);
+}
+
+TEST(mt19937_64_prefix, matches_standard_engine_on_random_seeds) {
+    std::mt19937_64 corpus(20140707);
+    for (int i = 0; i < 200; ++i) expect_standard_stream(corpus());
+}
+
+TEST(mt19937_64_prefix, is_a_uniform_random_bit_generator_with_the_standard_range) {
+    static_assert(std::uniform_random_bit_generator<mt19937_64_prefix>);
+    static_assert(mt19937_64_prefix::min() == std::mt19937_64::min());
+    static_assert(mt19937_64_prefix::max() == std::mt19937_64::max());
 }
 
 }  // namespace

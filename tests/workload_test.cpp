@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include "common/contracts.h"
 #include "workload/instance_gen.h"
@@ -47,6 +50,80 @@ TEST(scenario, validation_rejects_nonsense) {
     cfg = scenario_config::paper_dynamic();
     cfg.horizon_seconds = 1.0;
     EXPECT_THROW(cfg.validate(), contract_violation);
+}
+
+// Bad link-cost parameters are rejected by scenario validation, before an
+// emulator builds a sampler from them, with a message naming the field.
+void expect_cost_field_rejected(const std::function<void(net::cost_params&)>& mutate,
+                                const std::string& field) {
+    auto cfg = scenario_config::paper_dynamic();
+    mutate(cfg.costs);
+    try {
+        cfg.validate();
+        ADD_FAILURE() << "validate() accepted a bad " << field;
+    } catch (const contract_violation& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+}
+
+constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+constexpr double inf = std::numeric_limits<double>::infinity();
+
+TEST(scenario_costs, validation_rejects_bad_inter_mean) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_mean = nan; },
+                               "costs.inter_mean");
+}
+
+TEST(scenario_costs, validation_rejects_bad_inter_stddev) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_stddev = 0.0; },
+                               "costs.inter_stddev");
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_stddev = inf; },
+                               "costs.inter_stddev");
+}
+
+TEST(scenario_costs, validation_rejects_bad_inter_lo) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_lo = c.inter_hi; },
+                               "costs.inter_lo");
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_lo = -inf; },
+                               "costs.inter_lo");
+}
+
+TEST(scenario_costs, validation_rejects_bad_inter_hi) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_hi = inf; },
+                               "costs.inter_hi");
+    expect_cost_field_rejected([](net::cost_params& c) { c.inter_hi = 0.5; },
+                               "costs.inter_hi");
+}
+
+TEST(scenario_costs, validation_rejects_bad_intra_mean) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_mean = inf; },
+                               "costs.intra_mean");
+}
+
+TEST(scenario_costs, validation_rejects_bad_intra_stddev) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_stddev = 0.0; },
+                               "costs.intra_stddev");
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_stddev = -1.0; },
+                               "costs.intra_stddev");
+}
+
+TEST(scenario_costs, validation_rejects_bad_intra_lo) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_lo = 3.0; },
+                               "costs.intra_lo");
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_lo = nan; },
+                               "costs.intra_lo");
+}
+
+TEST(scenario_costs, validation_rejects_bad_intra_hi) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_hi = c.intra_lo; },
+                               "costs.intra_hi");
+    expect_cost_field_rejected([](net::cost_params& c) { c.intra_hi = nan; },
+                               "costs.intra_hi");
+}
+
+TEST(scenario_costs, validation_rejects_zero_cache_capacity) {
+    expect_cost_field_rejected([](net::cost_params& c) { c.cache_capacity = 0; },
+                               "costs.cache_capacity");
 }
 
 TEST(instance_gen, respects_shape_parameters) {
