@@ -1,7 +1,7 @@
 // slot_pipeline — per-phase timing of the emulator's slot data path, the
 // telemetry overhead contract, and the slot problem build's identity check.
 //
-// Runs one scenario end to end in four passes:
+// Runs one scenario end to end in three passes:
 //   pass 1 (telemetry off) — the timing arm: no sink, no spans, so the slot
 //     loop performs zero timestamp syscalls; wall time brackets the loop;
 //   pass 2 (telemetry on)  — span recorder enabled, counters sampled,
@@ -11,11 +11,7 @@
 //     round's incremental build is compared bit for bit against the full
 //     rebuild (the test oracle), and the run must hash identical to pass 1
 //     (`delta_identical`, exit 1 on any divergence, any toolchain). Its wall
-//     time over pass 1's is `shadow_slowdown` — what the oracle costs;
-//   pass 4 (warm slots, telemetry on) — cross-slot solver state reuse
-//     (warm_start_slots) on top: its phase table against pass 2's and
-//     `warm_speedup`. Warm starts change schedules on purpose; those are
-//     pinned by their own goldens (vod::golden_warm_slots_*), not here.
+//     time over pass 1's is `shadow_slowdown` — what the oracle costs.
 //
 // Passes 1 and 2 must produce bit-identical schedules (golden hashes
 // compared across passes — exit 1 on divergence, any toolchain) and, on the
@@ -159,7 +155,7 @@ int main(int argc, char** argv) {
 
     // Pass 1: telemetry off. The slot loop reads no clock; only the bracket
     // around the whole loop is timed.
-    std::printf("pass 1/4: telemetry off (timing arm)...\n");
+    std::printf("pass 1/3: telemetry off (timing arm)...\n");
     pass_result off;
     {
         vod::emulator emu(opts);
@@ -169,7 +165,7 @@ int main(int argc, char** argv) {
     // Pass 2: telemetry on — spans + counters + per-slot JSONL into memory.
     // Runs second so allocator warm-up (if any) favors neither direction of
     // the overhead comparison's numerator.
-    std::printf("pass 2/4: telemetry on (spans + counters + JSONL)...\n");
+    std::printf("pass 2/3: telemetry on (spans + counters + JSONL)...\n");
     std::ostringstream telemetry_out;
     obs::jsonl_sink sink(telemetry_out);
     vod::emulator_options on_opts = opts;
@@ -184,7 +180,7 @@ int main(int argc, char** argv) {
 
     // Pass 3: the identity arm — the full rebuild shadows every round's
     // incremental build and any bit-level difference throws.
-    std::printf("pass 3/4: shadow-checked build, telemetry off (identity arm)...\n");
+    std::printf("pass 3/3: shadow-checked build, telemetry off (identity arm)...\n");
     vod::emulator_options shadow_opts = opts;
     shadow_opts.delta_shadow_check = true;
     pass_result shadow;
@@ -198,19 +194,6 @@ int main(int argc, char** argv) {
     const bool delta_identical = shadow_error.empty() &&
                                  shadow.h_metrics == off.h_metrics &&
                                  shadow.h_neighbors == off.h_neighbors;
-
-    // Pass 4: cross-slot solver state reuse on top, with spans + counters
-    // for the per-phase comparison and the early-exit counter.
-    std::printf("pass 4/4: warm slot reuse, telemetry on...\n");
-    std::ostringstream warm_telemetry_out;
-    obs::jsonl_sink warm_sink(warm_telemetry_out);
-    vod::emulator_options warm_opts = on_opts;
-    warm_opts.telemetry.sink = &warm_sink;
-    warm_opts.warm_start_slots = true;
-    vod::emulator emu_warm(warm_opts);
-    const pass_result warm = run_pass(emu_warm, num_slots);
-    warm_sink.flush();
-    const phase_seconds warm_phases = phases_of(emu_warm);
 
     metrics::json_report rep("slot_pipeline");
     rep.add_scalar("scenario", scenario);
@@ -235,27 +218,15 @@ int main(int argc, char** argv) {
                        metrics::format_double(now, 6),
                        metrics::format_double(ratio(pre, now), 2)});
     };
-    auto add_phase_rows = [&](metrics::table& table, const phase_seconds& pre,
-                              const phase_seconds& now) {
-        for (std::size_t p = 0; p < num_phases; ++p)
-            add_phase(table, obs::phase_name(static_cast<obs::phase>(p)), pre[p],
-                      now[p]);
-        add_phase(table, "non_solve_total", non_solve_of(pre), non_solve_of(now));
-        add_phase(table, "total", total_of(pre), total_of(now));
-    };
     const phase_seconds pre = base != nullptr ? base->phases : phase_seconds{};
 
     metrics::table t({"phase", "pre_seconds", "post_seconds", "speedup"});
-    add_phase_rows(t, pre, post);
+    for (std::size_t p = 0; p < num_phases; ++p)
+        add_phase(t, obs::phase_name(static_cast<obs::phase>(p)), pre[p], post[p]);
+    add_phase(t, "non_solve_total", non_solve_of(pre), non_solve_of(post));
+    add_phase(t, "total", total_of(pre), total_of(post));
     t.print(std::cout);
     rep.add_table("phases", t);
-
-    // Cold vs warm slot reuse, phase by phase (both telemetry-on runs).
-    metrics::table wt({"phase", "cold_seconds", "warm_seconds", "speedup"});
-    add_phase_rows(wt, post, warm_phases);
-    std::printf("\n");
-    wt.print(std::cout);
-    rep.add_table("warm_phases", wt);
 
     if (base != nullptr) {
         const auto nr = static_cast<std::size_t>(obs::phase::neighbor_refresh);
@@ -288,42 +259,27 @@ int main(int argc, char** argv) {
     // The build contract: the shadow-checked run matched the full rebuild on
     // every round and hashed identical to the timing arm.
     const double shadow_slowdown = ratio(shadow.wall_seconds, off.wall_seconds);
-    const double warm_speedup = ratio(on.wall_seconds, warm.wall_seconds);
     rep.add_scalar("delta_identical", delta_identical);
     rep.add_scalar("slot_time_shadow_s", shadow.wall_seconds);
     rep.add_scalar("shadow_slowdown", shadow_slowdown);
-    rep.add_scalar("slot_time_warm_s", warm.wall_seconds);
-    rep.add_scalar("warm_speedup", warm_speedup);
     std::printf(
         "\nslot problem build: %.3f s, shadow-checked %.3f s (%.2fx) — "
-        "builds %s; warm slots %.3f s vs cold %.3f s with telemetry (%.2fx)\n",
+        "builds %s\n",
         off.wall_seconds, shadow.wall_seconds, shadow_slowdown,
-        delta_identical ? "IDENTICAL" : "DIVERGED", warm.wall_seconds,
-        on.wall_seconds, warm_speedup);
+        delta_identical ? "IDENTICAL" : "DIVERGED");
 
     // The counter registry (cache behavior, tracker maintenance, solver
-    // work, build row reuse) from pass 2; delta.early_exit_slots comes from
-    // the warm pass (a cold solver never early-exits).
+    // work, build row reuse) from pass 2.
     obs::counter_registry& counters = emu_on.counters();
-    obs::counter_registry& warm_counters = emu_warm.counters();
-    metrics::table ct({"counter", "cold", "warm"});
+    metrics::table ct({"counter", "value"});
     for (std::size_t i = 0; i < counters.entries().size(); ++i) {
         const auto& e = counters.entries()[i];
         const bool is_counter = e.kind == obs::metric_kind::counter;
-        const std::string cold_value =
-            is_counter ? std::to_string(counters.counter_at(i))
-                       : metrics::format_double(counters.gauge_at(i), 0);
-        const std::string warm_value =
-            is_counter ? std::to_string(warm_counters.counter_at(i))
-                       : metrics::format_double(warm_counters.gauge_at(i), 0);
-        ct.add_row({e.name, cold_value, warm_value});
-        obs::counter_registry& source =
-            e.name == "delta.early_exit_slots" ? warm_counters : counters;
-        if (is_counter)
-            rep.add_scalar("counter." + e.name,
-                           static_cast<double>(source.counter_at(i)));
-        else
-            rep.add_scalar("counter." + e.name, source.gauge_at(i));
+        const double value = is_counter ? static_cast<double>(counters.counter_at(i))
+                                        : counters.gauge_at(i);
+        ct.add_row({e.name, is_counter ? std::to_string(counters.counter_at(i))
+                                       : metrics::format_double(value, 0)});
+        rep.add_scalar("counter." + e.name, value);
     }
     std::printf("\n");
     ct.print(std::cout);
@@ -342,8 +298,6 @@ int main(int argc, char** argv) {
     rep.add_scalar("metrics_hash", hash_hex);
     std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, on.h_neighbors);
     rep.add_scalar("neighbors_hash", hash_hex);
-    std::snprintf(hash_hex, sizeof(hash_hex), "%016" PRIx64, warm.h_metrics);
-    rep.add_scalar("warm_metrics_hash", hash_hex);
     rep.add_scalar("telemetry_schedule_identical", passes_agree);
     rep.add_scalar("golden_known", golden_known);
     rep.add_scalar("golden_ok", golden_ok);

@@ -18,8 +18,8 @@
 //                    --seed sets the fleet seed (per-swarm seeds derive from
 //                    it); --csv writes the merged fleet-level series; the
 //                    other scenario flags do not apply
-//   --threads N      fleet engine thread-pool size; 0 = hardware_concurrency
-//                    [1]
+//   --threads N      fleet engine thread-pool size (N ≤ 256);
+//                    0 = hardware_concurrency                  [1]
 //   --swarms N       override the fleet's swarm count (viewer target scales
 //                    proportionally)
 //   --algo NAME      registered scheduler name                 [auction]
@@ -37,8 +37,8 @@
 //   --seed-upload X  seed upload multiple of bitrate           [4]
 //   --horizon S      emulated seconds                          [250]
 //   --seed N         master RNG seed                           [42]
-//   --rounds N       bidding rounds per slot                   [5]
-//   --epsilon E      auction ε                                 [0.05]
+//   --rounds N       bidding rounds per slot (N ≥ 1)           [5]
+//   --epsilon E      ε of both auctions (E > 0)                [0.05]
 //   --warm-rounds    warm-start auction prices across a slot's rounds
 //   --csv FILE       also write per-slot series as CSV
 //   --isp-economy    enable the ISP economy (src/isp/): peering graph +
@@ -58,11 +58,18 @@
 //   --trace-out FILE enable the per-phase span recorder and write a Chrome
 //                    trace_event JSON (chrome://tracing / Perfetto) to FILE;
 //                    in --fleet mode the trace is swarm 0's
+//
+// Every numeric flag takes a plain non-negative decimal; anything else
+// (junk, a sign, a value out of range) is a usage error, exit status 2.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "baseline/registry.h"
@@ -85,6 +92,30 @@ using namespace p2pcd;
     std::cerr << "experiment_runner: " << complaint
               << "\nsee the header of examples/experiment_runner.cpp for flags\n";
     std::exit(2);
+}
+
+// The one parser of numeric flag values: a complete, finite, non-negative
+// number that fits T, or a usage error naming the flag.
+template <typename T>
+T parse_number(const std::string& flag, const std::string& text) {
+    T value{};
+    const char* last = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), last, value);
+    bool ok = ec == std::errc{} && ptr == last;
+    if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value) && value >= 0.0;
+    if (!ok) usage("flag " + flag + " needs a non-negative number, got '" + text + "'");
+    return value;
+}
+
+// Builds `T` from `args`, turning a rejected configuration (a
+// contract_violation from the constructor) into a usage error.
+template <typename T, typename... Args>
+void construct_or_usage(std::optional<T>& out, Args&&... args) {
+    try {
+        out.emplace(std::forward<Args>(args)...);
+    } catch (const contract_violation& broken) {
+        usage(broken.what());
+    }
 }
 
 std::string canonical_algo(std::string name) {
@@ -142,7 +173,9 @@ int run_fleet(workload::fleet_config cfg, std::size_t threads,
     options.telemetry.every_slots = telemetry_every;
     options.telemetry.record_spans = !trace_path.empty();
 
-    engine::fleet fleet(std::move(options));
+    std::optional<engine::fleet> built;
+    construct_or_usage(built, std::move(options));
+    engine::fleet& fleet = *built;
     std::cout << "fleet: " << fleet.num_swarms() << " swarms, ~"
               << metrics::format_double(fleet.total_expected_viewers(), 0)
               << " viewers, " << fleet.threads() << " thread(s)\n";
@@ -230,42 +263,56 @@ int main(int argc, char** argv) {
             if (i + 1 >= argc) usage("flag " + flag + " needs a value");
             return argv[++i];
         };
+        auto count = [&] { return parse_number<std::size_t>(flag, next()); };
+        auto real = [&] { return parse_number<double>(flag, next()); };
         if (flag == "--list") {
             print_registries();
             return 0;
         }
         else if (flag == "--algo") opts.scheduler = canonical_algo(next());
         else if (flag == "--scenario") (void)next();  // applied in the pre-pass
-        else if (flag == "--peers") cfg.initial_peers = std::stoul(next());
-        else if (flag == "--arrival") cfg.arrival_rate = std::stod(next());
-        else if (flag == "--departure") cfg.departure_probability = std::stod(next());
-        else if (flag == "--videos") cfg.num_videos = std::stoul(next());
-        else if (flag == "--isps") cfg.num_isps = std::stoul(next());
-        else if (flag == "--neighbors") cfg.neighbor_count = std::stoul(next());
-        else if (flag == "--seeds") cfg.seeds_per_isp_per_video = std::stoul(next());
-        else if (flag == "--seed-upload") cfg.seed_upload_multiple = std::stod(next());
-        else if (flag == "--horizon") cfg.horizon_seconds = std::stod(next());
-        else if (flag == "--seed") { cfg.master_seed = std::stoull(next()); seed_given = true; }
+        else if (flag == "--peers") cfg.initial_peers = count();
+        else if (flag == "--arrival") cfg.arrival_rate = real();
+        else if (flag == "--departure") cfg.departure_probability = real();
+        else if (flag == "--videos") cfg.num_videos = count();
+        else if (flag == "--isps") cfg.num_isps = count();
+        else if (flag == "--neighbors") cfg.neighbor_count = count();
+        else if (flag == "--seeds") cfg.seeds_per_isp_per_video = count();
+        else if (flag == "--seed-upload") cfg.seed_upload_multiple = real();
+        else if (flag == "--horizon") cfg.horizon_seconds = real();
+        else if (flag == "--seed") {
+            cfg.master_seed = parse_number<std::uint64_t>(flag, next());
+            seed_given = true;
+        }
         else if (flag == "--fleet") fleet_name = next();
         else if (flag == "--threads") {
-            threads = std::stoul(next());
+            threads = count();
+            if (threads > 256) usage("--threads must be at most 256");
             if (threads == 0) threads = engine::thread_pool::default_thread_count();
         }
-        else if (flag == "--swarms") swarms_override = std::stoul(next());
-        else if (flag == "--rounds") opts.bid_rounds_per_slot = std::stoul(next());
-        else if (flag == "--epsilon") opts.auction.bidding.epsilon = std::stod(next());
+        else if (flag == "--swarms") swarms_override = count();
+        else if (flag == "--rounds") {
+            opts.bid_rounds_per_slot = count();
+            if (opts.bid_rounds_per_slot == 0) usage("--rounds must be at least 1");
+        }
+        else if (flag == "--epsilon") {
+            const double epsilon = real();
+            if (epsilon == 0.0) usage("--epsilon must be positive");
+            opts.auction.bidding.epsilon = epsilon;
+            opts.parallel_auction.bidding.epsilon = epsilon;
+        }
         else if (flag == "--warm-rounds") opts.warm_start_rounds = true;
         else if (flag == "--csv") csv_path = next();
         else if (flag == "--telemetry-out") telemetry_path = next();
         else if (flag == "--telemetry-every") {
-            telemetry_every = std::stoul(next());
+            telemetry_every = count();
             if (telemetry_every == 0) usage("--telemetry-every must be at least 1");
         }
         else if (flag == "--trace-out") trace_path = next();
         else if (flag == "--isp-economy") economy_requested = true;
         else if (flag == "--peering") { peering_override = next(); economy_requested = true; }
         else if (flag == "--epoch-slots") {
-            epoch_slots_override = std::stoul(next());
+            epoch_slots_override = count();
             economy_requested = true;
         }
         else usage("unknown flag '" + flag + "'");
@@ -302,17 +349,14 @@ int main(int argc, char** argv) {
                          telemetry_every, trace_path);
     }
 
-    try {
-        cfg.validate();
-    } catch (const contract_violation& broken) {
-        usage(broken.what());
-    }
-
     opts.telemetry.sink = telemetry_sink ? &*telemetry_sink : nullptr;
     opts.telemetry.every_slots = telemetry_every;
     opts.telemetry.record_spans = !trace_path.empty();
 
-    vod::emulator emu(opts);
+    // The emulator validates the scenario and its own options on the way in.
+    std::optional<vod::emulator> built;
+    construct_or_usage(built, opts);
+    vod::emulator& emu = *built;
     metrics::time_series welfare("welfare");
     metrics::time_series inter("inter_isp_fraction");
     metrics::time_series miss("miss_rate");

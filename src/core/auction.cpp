@@ -6,31 +6,152 @@
 
 namespace p2pcd::core {
 
-auction_solver::auction_solver(auction_options options) : options_(options) {
-    expects(options.bidding.epsilon >= 0.0, "epsilon must be non-negative");
-    expects(options.bidding.policy == bid_policy::paper_literal ||
-                options.bidding.epsilon > 0.0,
-            "the epsilon policy requires a positive epsilon");
-    if (options.epsilon_scaling) {
-        expects(options.bidding.policy == bid_policy::epsilon,
-                "epsilon scaling requires the epsilon bid policy");
-        expects(options.scaling_factor > 1.0, "scaling factor must exceed 1");
-        expects(options.scaling_initial_epsilon >= options.bidding.epsilon,
+namespace {
+
+// The ε ladder a solve descends: geometric from `initial` down to `target`
+// (always ending exactly at `target`). With `adaptive` set, `initial` is
+// replaced per instance: `target` itself when total capacity covers every
+// request (one phase), otherwise max(v−w)/factor over the instance.
+std::vector<double> epsilon_schedule(const problem_view& problem, double target,
+                                     double initial, double factor, bool scaling,
+                                     bool adaptive) {
+    std::vector<double> schedule;
+    if (scaling) {
+        double eps = initial;
+        if (adaptive) {
+            // Supply-rich instances (every request could be served) converge
+            // in ~one sweep; a coarse opening phase would only add passes.
+            std::int64_t total_capacity = 0;
+            for (const auto& u : problem.all_uploaders()) total_capacity += u.capacity;
+            if (total_capacity >= static_cast<std::int64_t>(problem.num_requests())) {
+                eps = target;
+            } else {
+                double max_net = 0.0;
+                const auto requests = problem.all_requests();
+                for (std::size_t r = 0; r < problem.num_requests(); ++r)
+                    for (const auto& c : problem.candidates(r))
+                        max_net = std::max(max_net, requests[r].valuation - c.cost);
+                eps = std::max(target, max_net / factor);
+            }
+        }
+        while (eps > target) {
+            schedule.push_back(eps);
+            eps /= factor;
+        }
+    }
+    schedule.push_back(target);
+    return schedule;
+}
+
+}  // namespace
+
+auction_driver::auction_driver(const ladder_settings& ladder) : ladder_(ladder) {
+    if (ladder.scaling) {
+        expects(ladder.factor > 1.0, "scaling factor must exceed 1");
+        expects(ladder.initial_epsilon >= ladder.target_epsilon,
                 "initial epsilon must not be below the final epsilon");
     }
 }
 
-// One complete Gauss-Seidel auction at a fixed ε, warm-started from `prices`
-// (all zero on a cold first/only phase). Returns per-seller final prices
-// through the same vector. With `fill_flat_arrays` set (first phase of a
-// solve), the fresh sweep populates the dense v − w array from the cost slab
-// as it first touches each row — one pass instead of two.
+auction_result auction_driver::run(const problem_view& problem,
+                                   std::span<const double> initial_prices) {
+    return drive(problem, initial_prices, ladder_.compute_request_utilities);
+}
+
+schedule auction_driver::solve(const problem_view& problem) {
+    return drive(problem, {}, /*recover_duals=*/false).sched;
+}
+
+auction_result auction_driver::drive(const problem_view& problem,
+                                     std::span<const double> initial_prices,
+                                     bool recover_duals) {
+    const std::size_t nu = problem.num_uploaders();
+    const std::size_t nr = problem.num_requests();
+    expects(initial_prices.empty() || initial_prices.size() == nu,
+            "initial price vector must cover every uploader");
+
+    const std::vector<double> schedule = epsilon_schedule(
+        problem, ladder_.target_epsilon, ladder_.initial_epsilon, ladder_.factor,
+        ladder_.scaling, ladder_.adaptive);
+
+    auction_result result;
+    std::vector<double> prices(nu, 0.0);
+    if (!initial_prices.empty())
+        std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
+    for (std::size_t k = 0; k < schedule.size(); ++k) {
+        auction_result phase;
+        run_phase(problem, schedule[k], prices, phase, /*first_phase=*/k == 0);
+        // Counters accumulate across phases; the schedule of the last phase
+        // is the answer.
+        phase.bids_submitted += result.bids_submitted;
+        phase.evictions += result.evictions;
+        phase.abstentions += result.abstentions;
+        phase.phases_run = result.phases_run + 1;
+        phase.phase_trace = std::move(result.phase_trace);
+        result = std::move(phase);
+        if (ladder_.record_phase_trace)
+            result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
+
+        // Between phases, repair complementary slackness condition 1: a
+        // seller that ended the phase with spare capacity cannot honestly
+        // quote a positive price, so its carried-over price falls back to 0.
+        // Without this, coarse-phase prices strand cheap capacity for good.
+        if (k + 1 < schedule.size()) {
+            const std::uint32_t* offsets = problem.offsets().data();
+            const std::uint32_t* cand_up = problem.cand_uploaders().data();
+            used_scratch_.assign(nu, 0);
+            for (std::size_t r = 0; r < nr; ++r) {
+                std::ptrdiff_t c = result.sched.choice[r];
+                if (c != no_candidate)
+                    ++used_scratch_[cand_up[offsets[r] + static_cast<std::size_t>(c)]];
+            }
+            for (std::size_t u = 0; u < nu; ++u)
+                if (used_scratch_[u] < problem.uploader(u).capacity) prices[u] = 0.0;
+        }
+    }
+
+    // Every phase ran until no bid was left (the bid budget throws
+    // otherwise), so the final phase ended in ε-CS.
+    result.converged = true;
+    result.prices = std::move(prices);
+    if (recover_duals)
+        result.request_utility = derive_request_utilities(problem, result.prices);
+    return result;
+}
+
+void auction_driver::shed_memory() {
+    std::vector<std::int64_t>().swap(used_scratch_);
+}
+
+std::size_t auction_driver::workspace_bytes() const {
+    return used_scratch_.capacity() * sizeof(std::int64_t);
+}
+
+auction_solver::auction_solver(auction_options options)
+    : auction_driver({options.bidding.epsilon, options.epsilon_scaling,
+                      options.adaptive_scaling, options.scaling_initial_epsilon,
+                      options.scaling_factor, options.record_phase_trace,
+                      options.compute_request_utilities}),
+      options_(options) {
+    expects(options.bidding.epsilon >= 0.0, "epsilon must be non-negative");
+    expects(options.bidding.policy == bid_policy::paper_literal ||
+                options.bidding.epsilon > 0.0,
+            "the epsilon policy requires a positive epsilon");
+    expects(!options.epsilon_scaling || options.bidding.policy == bid_policy::epsilon,
+            "epsilon scaling requires the epsilon bid policy");
+}
+
+// One complete Gauss-Seidel auction at a fixed ε. On a solve's first phase
+// the fresh sweep populates the dense v − w array from the cost slab as it
+// first touches each row — one pass instead of two.
 void auction_solver::run_phase(const problem_view& problem, double epsilon,
                                std::vector<double>& prices, auction_result& result,
-                               bool fill_flat_arrays) {
+                               bool first_phase) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
     const auto uploaders = problem.all_uploaders();
+    // v − w is invariant across the whole solve.
+    if (first_phase) net_values_.resize(problem.num_candidates());
 
     bidder_options bidding = options_.bidding;
     bidding.epsilon = epsilon;
@@ -68,7 +189,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
         std::size_t r;
         if (next_fresh < nr) {
             r = next_fresh++;
-            if (fill_flat_arrays) {
+            if (first_phase) {
                 const double v = all_requests[r].valuation;
                 for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k)
                     net_values[k] = v - cand_costs[k];
@@ -131,139 +252,10 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
         }
     }
 
-    result.converged = true;
     result.parked_at_termination = parked_.size();
 
     for (std::size_t u = 0; u < nu; ++u)
         if (uploaders[u].capacity > 0) prices[u] = sellers_[u].price();
-}
-
-std::vector<double> epsilon_schedule(const problem_view& problem, double target,
-                                     double initial, double factor, bool scaling,
-                                     bool adaptive) {
-    std::vector<double> schedule;
-    if (scaling) {
-        double eps = initial;
-        if (adaptive) {
-            // Supply-rich instances (every request could be served) converge
-            // in ~one sweep; a coarse opening phase would only add passes.
-            std::int64_t total_capacity = 0;
-            for (const auto& u : problem.all_uploaders()) total_capacity += u.capacity;
-            if (total_capacity >= static_cast<std::int64_t>(problem.num_requests())) {
-                eps = target;
-            } else {
-                double max_net = 0.0;
-                const auto requests = problem.all_requests();
-                for (std::size_t r = 0; r < problem.num_requests(); ++r)
-                    for (const auto& c : problem.candidates(r))
-                        max_net = std::max(max_net, requests[r].valuation - c.cost);
-                eps = std::max(target, max_net / factor);
-            }
-        }
-        while (eps > target) {
-            schedule.push_back(eps);
-            eps /= factor;
-        }
-    }
-    schedule.push_back(target);
-    return schedule;
-}
-
-auction_result auction_solver::run(const problem_view& problem) {
-    return run(problem, {});
-}
-
-auction_result auction_solver::run(const problem_view& problem,
-                                   std::span<const double> initial_prices) {
-    const std::size_t nu = problem.num_uploaders();
-    const std::size_t nr = problem.num_requests();
-    expects(initial_prices.empty() || initial_prices.size() == nu,
-            "initial price vector must cover every uploader");
-
-    // v − w is invariant across the whole solve. The array is sized here and
-    // filled lazily by the first phase's fresh sweep, which touches every
-    // row anyway.
-    const std::uint32_t* offsets = problem.offsets().data();
-    const std::uint32_t* cand_up = problem.cand_uploaders().data();
-    net_values_.resize(problem.num_candidates());
-
-    // The ε schedule: a single phase normally; a geometric descent from the
-    // initial ε down to the target when scaling is on. A warm start from a
-    // converged solve may collapse the ladder to the target rung outright —
-    // decided before epsilon_schedule so the adaptive max(v−w) instance
-    // sweep is skipped along with the coarse phases.
-    const bool early_exit = options_.warm_start_early_exit &&
-                            options_.epsilon_scaling && !initial_prices.empty() &&
-                            last_run_converged_;
-    const std::vector<double> schedule =
-        early_exit ? std::vector<double>{options_.bidding.epsilon}
-                   : epsilon_schedule(problem, options_.bidding.epsilon,
-                                      options_.scaling_initial_epsilon,
-                                      options_.scaling_factor,
-                                      options_.epsilon_scaling,
-                                      options_.adaptive_scaling);
-
-    auction_result result;
-    std::vector<double> prices(nu, 0.0);
-    if (!initial_prices.empty())
-        std::copy(initial_prices.begin(), initial_prices.end(), prices.begin());
-    for (std::size_t k = 0; k < schedule.size(); ++k) {
-        auction_result phase;
-        run_phase(problem, schedule[k], prices, phase, /*fill_flat_arrays=*/k == 0);
-        // Counters accumulate across phases; the schedule of the last phase
-        // is the answer.
-        phase.bids_submitted += result.bids_submitted;
-        phase.evictions += result.evictions;
-        phase.abstentions += result.abstentions;
-        phase.phases_run = result.phases_run + 1;
-        phase.phase_trace = std::move(result.phase_trace);
-        result = std::move(phase);
-        if (options_.record_phase_trace)
-            result.phase_trace.push_back({schedule[k], prices, result.sched.choice});
-
-        // Between phases, repair complementary slackness condition 1: a
-        // seller that ended the phase with spare capacity cannot honestly
-        // quote a positive price, so its carried-over price falls back to 0.
-        // Without this, coarse-phase prices strand cheap capacity for good.
-        if (k + 1 < schedule.size()) {
-            used_scratch_.assign(nu, 0);
-            for (std::size_t r = 0; r < nr; ++r) {
-                std::ptrdiff_t c = result.sched.choice[r];
-                if (c != no_candidate)
-                    ++used_scratch_[problem.candidates(r)[static_cast<std::size_t>(c)]
-                                        .uploader];
-            }
-            for (std::size_t u = 0; u < nu; ++u)
-                if (used_scratch_[u] < problem.uploader(u).capacity) prices[u] = 0.0;
-        }
-    }
-
-    result.prices = std::move(prices);
-    result.early_exited = early_exit;
-    last_run_converged_ = result.converged;
-    // Dual recovery (skippable — schedule-only consumers never read η). With
-    // zero-capacity uploaders present the general helper handles their price
-    // lift; the common all-positive case reuses the flat v − w array
-    // (identical arithmetic: (v − w) − λ in both paths).
-    if (options_.compute_request_utilities) {
-        bool any_zero_capacity = false;
-        for (std::size_t u = 0; u < nu && !any_zero_capacity; ++u)
-            any_zero_capacity = problem.uploader(u).capacity == 0;
-        if (any_zero_capacity) {
-            result.request_utility = derive_request_utilities(problem, result.prices);
-        } else {
-            result.request_utility.assign(nr, 0.0);
-            for (std::size_t r = 0; r < nr; ++r) {
-                double best = 0.0;
-                for (std::size_t k = offsets[r]; k < offsets[r + 1]; ++k) {
-                    double margin = net_values_[k] - result.prices[cand_up[k]];
-                    if (margin > best) best = margin;
-                }
-                result.request_utility[r] = best;
-            }
-        }
-    }
-    return result;
 }
 
 std::vector<double> derive_request_utilities(const problem_view& problem,
@@ -296,26 +288,22 @@ std::vector<double> derive_request_utilities(const problem_view& problem,
     return utilities;
 }
 
-schedule auction_solver::solve(const problem_view& problem) {
-    return run(problem).sched;
-}
-
 void auction_solver::shed_memory() {
+    auction_driver::shed_memory();
     std::vector<auctioneer>().swap(sellers_);
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
     std::vector<double>().swap(net_values_);
     std::vector<double>().swap(price_cache_);
-    std::vector<std::int64_t>().swap(used_scratch_);
 }
 
 std::size_t auction_solver::workspace_bytes() const {
-    std::size_t bytes = sellers_.capacity() * sizeof(auctioneer) +
+    std::size_t bytes = auction_driver::workspace_bytes() +
+                        sellers_.capacity() * sizeof(auctioneer) +
                         queue_.capacity() * sizeof(std::size_t) +
                         parked_.capacity() * sizeof(parked_entry) +
                         net_values_.capacity() * sizeof(double) +
-                        price_cache_.capacity() * sizeof(double) +
-                        used_scratch_.capacity() * sizeof(std::int64_t);
+                        price_cache_.capacity() * sizeof(double);
     for (const auto& s : sellers_) bytes += s.heap_bytes();
     return bytes;
 }

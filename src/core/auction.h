@@ -54,22 +54,11 @@ struct auction_options {
     // Off by default: the trace exists for the ε-CS property tests.
     bool record_phase_trace = false;
 
-    // Dual recovery (η per request) is a full candidate sweep per solve.
-    // Consumers that only read the schedule and λ (the emulator's delta
-    // pipeline) turn it off; `result.request_utility` comes back empty.
-    // Never changes the schedule or the prices.
+    // Dual recovery (η per request) is a full candidate sweep per run().
+    // Consumers that only read the schedule and λ (the emulator) turn it
+    // off; `result.request_utility` comes back empty. solve() never recovers
+    // duals. Never changes the schedule or the prices.
     bool compute_request_utilities = true;
-
-    // Cross-slot solver reuse: when a solve is warm-started from prices of a
-    // converged solve on a near-identical instance (the emulator's
-    // `warm_start_slots` mode), the warm prices already satisfy ε-CS almost
-    // everywhere, so the coarse rungs of the ε ladder only re-derive what the
-    // previous slot knew. With this flag the ladder collapses to the target ε
-    // whenever warm prices are present and the previous run() converged —
-    // including skipping the adaptive schedule's max(v−w) instance sweep.
-    // Changes schedules (pinned by the warm-start slot goldens); no effect on
-    // cold starts or single-phase (scaling-off) configurations.
-    bool warm_start_early_exit = false;
 };
 
 // Phase-boundary state of an ε-scaling run, recorded when
@@ -97,20 +86,9 @@ struct auction_result {
     // ε phases the solve descended (1 unless ε-scaling engaged a ladder).
     std::uint64_t phases_run = 0;
     bool converged = false;
-    // The ε ladder was collapsed to its target rung by warm_start_early_exit.
-    bool early_exited = false;
     // One entry per ε phase, only when options.record_phase_trace is set.
     std::vector<auction_phase_snapshot> phase_trace;
 };
-
-// The ε ladder a solve descends: geometric from `initial` down to `target`
-// (always ending exactly at `target`). With `adaptive` set, `initial` is
-// replaced per instance: `target` itself when total capacity covers every
-// request (one phase), otherwise max(v−w)/factor over the instance.
-[[nodiscard]] std::vector<double> epsilon_schedule(const problem_view& problem,
-                                                   double target, double initial,
-                                                   double factor, bool scaling,
-                                                   bool adaptive);
 
 // Completes a set of final bandwidth prices into a full dual solution:
 //  * `prices` must hold λ for every positive-capacity uploader; entries for
@@ -121,12 +99,19 @@ struct auction_result {
 [[nodiscard]] std::vector<double> derive_request_utilities(
     const problem_view& problem, std::vector<double>& prices);
 
-class auction_solver final : public scheduler {
+// The ε-ladder driver both auction solvers share; a solver supplies only
+// run_phase(), one complete auction at a fixed ε. The driver descends the
+// ladder — a single rung normally; with ε-scaling a geometric descent from
+// the initial ε (or, adaptive, from the instance's contention) down to the
+// target — warm-starting each phase from the previous phase's prices with
+// spare-capacity sellers repaired to 0, sums the phases' counters, records
+// the phase trace, hands the final prices back and recovers the duals.
+class auction_driver : public scheduler {
 public:
-    explicit auction_solver(auction_options options = {});
-
     // Cold start: all prices begin at 0.
-    [[nodiscard]] auction_result run(const problem_view& problem);
+    [[nodiscard]] auction_result run(const problem_view& problem) {
+        return run(problem, {});
+    }
 
     // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
     // empty = cold start). With ε-scaling enabled only the first phase is
@@ -135,7 +120,45 @@ public:
     [[nodiscard]] auction_result run(const problem_view& problem,
                                      std::span<const double> initial_prices);
 
+    // run()'s schedule without dual recovery.
     [[nodiscard]] schedule solve(const problem_view& problem) override;
+    void shed_memory() override;
+    [[nodiscard]] std::size_t workspace_bytes() const override;
+
+protected:
+    // The ladder fields of a solver's options.
+    struct ladder_settings {
+        double target_epsilon = 0.0;
+        bool scaling = false;
+        bool adaptive = false;
+        double initial_epsilon = 1.0;
+        double factor = 4.0;
+        bool record_phase_trace = false;
+        bool compute_request_utilities = true;
+    };
+    explicit auction_driver(const ladder_settings& ladder);
+
+    // One complete auction at a fixed ε, warm-started from `prices` (all zero
+    // on a cold first/only phase); the final λ of every positive-capacity
+    // seller comes back through the same vector, the phase's schedule and
+    // counters through `phase`. `first_phase` opens a solve.
+    virtual void run_phase(const problem_view& problem, double epsilon,
+                           std::vector<double>& prices, auction_result& phase,
+                           bool first_phase) = 0;
+
+private:
+    [[nodiscard]] auction_result drive(const problem_view& problem,
+                                       std::span<const double> initial_prices,
+                                       bool recover_duals);
+
+    ladder_settings ladder_;
+    std::vector<std::int64_t> used_scratch_;  // inter-phase repair
+};
+
+class auction_solver final : public auction_driver {
+public:
+    explicit auction_solver(auction_options options = {});
+
     [[nodiscard]] std::string_view name() const override { return "auction"; }
     void shed_memory() override;
     [[nodiscard]] std::size_t workspace_bytes() const override;
@@ -144,13 +167,10 @@ public:
 
 private:
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result,
-                   bool fill_flat_arrays);
+                   std::vector<double>& prices, auction_result& phase,
+                   bool first_phase) override;
 
     auction_options options_;
-    // Whether the previous run() reached ε-CS — the warm_start_early_exit
-    // precondition (a warm start from a diverged solve must re-descend).
-    bool last_run_converged_ = false;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     std::vector<auctioneer> sellers_;
@@ -170,7 +190,6 @@ private:
     // (+inf for zero capacity): the per-bid gather reads this, not the
     // auctioneer objects.
     std::vector<double> price_cache_;
-    std::vector<std::int64_t> used_scratch_;  // ε-scaling inter-phase repair
 };
 
 }  // namespace p2pcd::core

@@ -56,12 +56,9 @@ struct parallel_auction_options {
     double scaling_initial_epsilon = 1.0;
     double scaling_factor = 4.0;
     bool record_phase_trace = false;
-    // Same contracts as the synchronous solver (core/auction.h): dual
-    // recovery is skippable by schedule-only consumers, and a warm start from
-    // a converged solve may collapse the ε ladder to its target rung
-    // (warm-start slot goldens pin the resulting schedules).
+    // Same contract as the synchronous solver (core/auction.h): dual
+    // recovery is skippable by schedule-only consumers.
     bool compute_request_utilities = true;
-    bool warm_start_early_exit = false;
 
     // Worker threads for the bid/merge phases. 1 runs everything inline on
     // the calling thread (no pool); 0 resolves to the hardware count. The
@@ -72,20 +69,11 @@ struct parallel_auction_options {
     std::size_t grain = 2048;
 };
 
-class parallel_auction_solver final : public scheduler {
+class parallel_auction_solver final : public auction_driver {
 public:
     explicit parallel_auction_solver(parallel_auction_options options = {});
     ~parallel_auction_solver() override;
 
-    // Cold start: all prices begin at 0.
-    [[nodiscard]] auction_result run(const problem_view& problem);
-
-    // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
-    // empty = cold start). With ε-scaling only the first phase is warm.
-    [[nodiscard]] auction_result run(const problem_view& problem,
-                                     std::span<const double> initial_prices);
-
-    [[nodiscard]] schedule solve(const problem_view& problem) override;
     [[nodiscard]] std::string_view name() const override { return "auction-par"; }
     void shed_memory() override;
     [[nodiscard]] std::size_t workspace_bytes() const override;
@@ -109,13 +97,9 @@ private:
     };
     static constexpr std::uint32_t abstained = 0xffffffffu;
 
-    // `recover_duals` skips the final request-utility sweep — solve() only
-    // returns the schedule, so it never pays for duals nobody reads.
-    [[nodiscard]] auction_result run_impl(const problem_view& problem,
-                                          std::span<const double> initial_prices,
-                                          bool recover_duals);
     void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& result);
+                   std::vector<double>& prices, auction_result& phase,
+                   bool first_phase) override;
     // Runs fn(begin, end) over [0, count) — inline, or as pool blocks of at
     // least `grain` items. Which worker runs which block is unobservable.
     void for_blocks(std::size_t count, std::size_t grain,
@@ -123,8 +107,6 @@ private:
 
     parallel_auction_options options_;
     std::unique_ptr<engine::thread_pool> pool_;
-    // Whether the previous run reached ε-CS (warm_start_early_exit gate).
-    bool last_run_converged_ = false;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     // Seller state lives in one flat slab instead of per-uploader auctioneer
@@ -169,7 +151,6 @@ private:
     std::vector<std::uint32_t> loser_count_; // per touched ordinal
     std::vector<std::uint64_t> evict_count_; // per touched ordinal
     std::vector<std::uint32_t> touched_of_uploader_;  // uploader -> ordinal
-    std::vector<std::int64_t> used_scratch_;  // ε-scaling inter-phase repair
 };
 
 }  // namespace p2pcd::core

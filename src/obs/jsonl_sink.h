@@ -42,7 +42,9 @@ namespace p2pcd::obs {
 // v2 (cross-swarm coupling): adds the optional "admission"/"link_saturation"
 // semantic sub-objects on fleet_slot lines and the admission counters to the
 // metric schema — strictly additive, so v1 consumers still parse every line.
-inline constexpr int jsonl_schema_version = 2;
+// v3: slot records lose the early-exit slot counter column (the cross-slot
+// warm start it counted is gone).
+inline constexpr int jsonl_schema_version = 3;
 
 // Builds one JSON object line. Handles comma placement and one level of
 // sub-object nesting ("wall"/"env"); keys are written verbatim (callers use

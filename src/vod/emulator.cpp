@@ -24,6 +24,7 @@ emulator::emulator(emulator_options options)
       arrival_rng_(rng_factory_.stream("arrivals")),
       peer_rng_(rng_factory_.stream("peers")) {
     options_.config.validate();
+    expects(options_.bid_rounds_per_slot > 0, "bid_rounds_per_slot must be positive");
     expects(options_.telemetry.every_slots > 0,
             "telemetry.every_slots must be positive");
     // Externally-provided assets must match what this config would build —
@@ -47,15 +48,11 @@ emulator::emulator(emulator_options options)
     // dual-recovery sweep outright.
     params.auction.compute_request_utilities = false;
     params.parallel_auction.compute_request_utilities = false;
-    if (options_.warm_start_slots) {
-        params.auction.warm_start_early_exit = true;
-        params.parallel_auction.warm_start_early_exit = true;
-    }
     params.locality_max_rounds = options_.locality.max_rounds;
     params.seed = options_.config.master_seed;
     scheduler_ = registry.make(options_.scheduler, params);
-    auction_ = dynamic_cast<core::auction_solver*>(scheduler_.get());
-    par_auction_ = dynamic_cast<core::parallel_auction_solver*>(scheduler_.get());
+    auction_ = dynamic_cast<core::auction_driver*>(scheduler_.get());
+    serial_auction_ = dynamic_cast<core::auction_solver*>(scheduler_.get()) != nullptr;
     exact_ = dynamic_cast<core::exact_scheduler*>(scheduler_.get());
 
     // Mask ring: one entry per chunk of the widest request window, rounded
@@ -154,11 +151,10 @@ void emulator::register_metrics() {
     g_bytes_transit_ = counters_.add_gauge("ledger.bytes_transit");
     g_admission_queue_ = counters_.add_gauge("admission.queued");
     // Slot-problem build counters (rows rebuilt from scratch vs reused from
-    // their masks, slots whose solver early-exited); new names append after
-    // every v1 metric so the slot-record prefix is stable.
+    // their masks); new names append after every v1 metric so the
+    // slot-record prefix is stable.
     c_delta_dirty_ = counters_.add_counter("delta.dirty_rows");
     c_delta_reused_ = counters_.add_counter("delta.reused_rows");
-    c_delta_early_exit_ = counters_.add_counter("delta.early_exit_slots");
 }
 
 void emulator::sample_counters() {
@@ -925,7 +921,10 @@ core::schedule emulator::dispatch(double round_start, double duration,
     counters_.inc(c_solver_rounds_);
 
     if (auction_ != nullptr) {
-        bool distributed = round_start >= options_.distributed_from &&
+        // The distributed window applies to the synchronous auction only (the
+        // Jacobi solver is a solver, not a protocol).
+        bool distributed = serial_auction_ &&
+                           round_start >= options_.distributed_from &&
                            round_start < options_.distributed_to;
         if (distributed) {
             runtime_options ro;
@@ -953,11 +952,9 @@ core::schedule emulator::dispatch(double round_start, double duration,
             return std::move(result.auction.sched);
         }
         core::auction_result result;
-        if (options_.warm_start_rounds || options_.warm_start_slots) {
+        if (options_.warm_start_rounds) {
             // Thread the slot's λ through its bidding rounds (Sec. IV-C's
-            // price cycle), exactly like the distributed path above. With
-            // warm_start_slots the carried prices survive slot boundaries
-            // too (step() stops resetting them).
+            // price cycle), exactly like the distributed path above.
             std::vector<double> initial(view.num_uploaders(), 0.0);
             for (std::size_t u = 0; u < view.num_uploaders(); ++u)
                 initial[u] = slot_prices[sp.uploader_row[u]];
@@ -967,28 +964,6 @@ core::schedule emulator::dispatch(double round_start, double duration,
         } else {
             result = auction_->run(view);
         }
-        if (result.early_exited) slot_saw_early_exit_ = true;
-        metrics.auction_bids += result.bids_submitted;
-        counters_.inc(c_solver_bids_, result.bids_submitted);
-        counters_.inc(c_solver_phases_, result.phases_run);
-        return std::move(result.sched);
-    }
-
-    if (par_auction_ != nullptr) {
-        // Same round contract as the synchronous auction, minus the
-        // distributed window (the Jacobi solver is a solver, not a protocol).
-        core::auction_result result;
-        if (options_.warm_start_rounds || options_.warm_start_slots) {
-            std::vector<double> initial(view.num_uploaders(), 0.0);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                initial[u] = slot_prices[sp.uploader_row[u]];
-            result = par_auction_->run(view, initial);
-            for (std::size_t u = 0; u < view.num_uploaders(); ++u)
-                slot_prices[sp.uploader_row[u]] = result.prices[u];
-        } else {
-            result = par_auction_->run(view);
-        }
-        if (result.early_exited) slot_saw_early_exit_ = true;
         metrics.auction_bids += result.bids_submitted;
         counters_.inc(c_solver_bids_, result.bids_submitted);
         counters_.inc(c_solver_phases_, result.phases_run);
@@ -1116,23 +1091,17 @@ const slot_metrics& emulator::step() {
     metrics.time = slot_start;
     metrics.online_peers = online_viewers();
 
-    bool distributed = auction_ != nullptr &&
+    bool distributed = serial_auction_ &&
                        slot_start >= options_.distributed_from &&
                        slot_start < options_.distributed_to;
     if (distributed) distributed_slot_starts_.push_back(slot_start);
-    const std::size_t rounds = std::max<std::size_t>(1, options_.bid_rounds_per_slot);
+    const std::size_t rounds = options_.bid_rounds_per_slot;
     const double round_length = options_.config.slot_seconds /
                                 static_cast<double>(rounds);
     const std::size_t rows = peers_.rows();
     // Prices persist across the rounds of one slot and reset at slot
-    // boundaries — the slot is the bidding cycle of Sec. IV-C. With
-    // warm_start_slots they carry over instead (rows are never recycled, so
-    // resize keeps every existing uploader's λ and zeroes only new rows).
-    if (options_.warm_start_slots)
-        slot_prices_.resize(rows, 0.0);
-    else
-        slot_prices_.assign(rows, 0.0);
-    slot_saw_early_exit_ = false;
+    // boundaries — the slot is the bidding cycle of Sec. IV-C.
+    slot_prices_.assign(rows, 0.0);
 
     remaining_scratch_.assign(rows, 0);
     for (std::size_t row = 0; row < num_seeds_; ++row)
@@ -1176,7 +1145,6 @@ const slot_metrics& emulator::step() {
     // fleet's resident set scales with its thread count, not its swarm count.
     shed_slot_memory();
     if (timed) spans_.lap(obs::phase::shed);
-    if (slot_saw_early_exit_) counters_.inc(c_delta_early_exit_);
 
     slots_.push_back(metrics);
     now_ = slot_end;

@@ -104,11 +104,12 @@ struct emulator_options {
     // bandwidth to receive the 100 chunks it wants next" (Sec. V-A): each
     // slot is split into this many bidding rounds. A chunk unserved in an
     // early round is re-bid later at a higher deadline valuation, and B(u)
-    // is shared across the slot's rounds. 1 disables intra-slot re-bidding.
+    // is shared across the slot's rounds. 1 disables intra-slot re-bidding;
+    // 0 is rejected.
     std::size_t bid_rounds_per_slot = 5;
 
-    // Warm-start the synchronous auction's prices across the bidding rounds
-    // of one slot (the slot stays the price cycle of Sec. IV-C, exactly like
+    // Warm-start either auction's prices across the bidding rounds of one
+    // slot (the slot stays the price cycle of Sec. IV-C, exactly like
     // the distributed runtime's slot_prices). Off by default: the cold-start
     // rounds are the configuration the equivalence suite pins down.
     bool warm_start_rounds = false;
@@ -152,12 +153,6 @@ struct emulator_options {
 #else
     bool delta_shadow_check = true;
 #endif
-    // Carry each uploader's λ across slot boundaries instead of resetting to
-    // 0 (extends warm_start_rounds' intra-slot price cycle to the whole run)
-    // and let a warm-started solver collapse its ε ladder to the target rung
-    // when the previous run converged. Changes schedules — separate pinned
-    // slot goldens cover this configuration.
-    bool warm_start_slots = false;
 };
 
 struct slot_metrics {
@@ -442,13 +437,14 @@ private:
     std::int32_t id_base_ = 0;       // next_peer_id_ right after construction
     std::uint64_t arrival_seq_ = 0;  // Poisson arrivals drawn so far
 
-    // Long-lived scheduler from the registry; `auction_` / `par_auction_`
-    // are the non-null downcasts when a built-in auction is selected (they
-    // have the richer run() API: bid diagnostics and warm-start prices), and
-    // `exact_` when "exact" is (its pivot total feeds solver.pivots).
+    // Long-lived scheduler from the registry; `auction_` is the non-null
+    // downcast when either built-in auction is selected (its run() API has
+    // bid diagnostics and warm-start prices), `serial_auction_` marks the
+    // synchronous one (the only one the distributed window applies to), and
+    // `exact_` is set when "exact" is (its pivot total feeds solver.pivots).
     std::unique_ptr<core::scheduler> scheduler_;
-    core::auction_solver* auction_ = nullptr;
-    core::parallel_auction_solver* par_auction_ = nullptr;
+    core::auction_driver* auction_ = nullptr;
+    bool serial_auction_ = false;
     core::exact_scheduler* exact_ = nullptr;
 
     peer_table peers_;          // rows stable and id-ordered; departed flagged
@@ -487,7 +483,7 @@ private:
         g_admission_queue_;
     // Delta-pipeline counters (schema v2 additions — registered last so the
     // v1 record prefix is byte-stable).
-    obs::counter_id c_delta_dirty_, c_delta_reused_, c_delta_early_exit_;
+    obs::counter_id c_delta_dirty_, c_delta_reused_;
     // Row-major num_isps × num_isps relationship class of each directed ISP
     // pair (values of isp::relationship), precomputed so apply_schedule's
     // per-transfer gauge add is one byte load. Normally borrowed from the
@@ -583,7 +579,6 @@ private:
     // delta_shadow_check's arena-parallel link costs, priced per slot by
     // cost_model::uncached_cost — never from the held draws or the cache.
     std::vector<double> shadow_costs_;
-    bool slot_saw_early_exit_ = false;  // any round's solver early-exited
 
     // Raw λ-change log from distributed slots plus the slot starts, from
     // which the representative peer's series is assembled on demand.

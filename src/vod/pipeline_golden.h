@@ -112,17 +112,15 @@ inline constexpr const golden_run_hashes* golden_parallel_for(
     return nullptr;
 }
 
-// Cross-slot warm starts (emulator_options::warm_start_slots: a slot's
-// final prices seed the next slot's first round, and under ε-scaling a
-// converged solver re-runs on the collapsed {target ε} ladder) change
-// schedules on purpose, so they are pinned by their own constants. The
-// delta build must reproduce these same hashes (bit-identity holds for
-// every solver configuration). Captured 2026-08-09 on GCC / x86-64,
-// default options otherwise.
-inline constexpr golden_run_hashes golden_warm_slots_economy = {
+// The within-slot price cycle (emulator_options::warm_start_rounds: a
+// slot's λ threads through its bidding rounds and resets at the slot
+// boundary, Sec. IV-C) under both auctions. Captured 2026-10-18 on GCC 12 /
+// x86-64 before the two solvers' ε-ladder drivers were merged, default
+// options otherwise.
+inline constexpr golden_run_hashes golden_warm_rounds_economy = {
     "economy_smoke", 0xba4895265c419f4bull, 0xb6a61c45ee985223ull,
     0x0af3986d1cf5a356ull};
-inline constexpr golden_run_hashes golden_warm_slots_economy_par = {
+inline constexpr golden_run_hashes golden_warm_rounds_economy_par = {
     "economy_smoke", 0xba4895265c419f4bull, 0x4cf4d7c38a1dd468ull,
     0x49d9cbac4010b3b4ull};
 

@@ -123,31 +123,6 @@ TEST(delta_pipeline_threads, delta_path_is_thread_count_invariant) {
     }
 }
 
-// Cross-slot solver warm starts change schedules (they are pinned by their
-// own goldens) — but the incremental-vs-full bit-identity contract must hold
-// for that solver configuration as well, and the collapsed ε ladder must
-// actually engage.
-TEST(delta_pipeline_warm, warm_start_slots_keeps_delta_identity) {
-    auto opts_of = [](bool shadow) {
-        emulator_options opts = churny_options(4242, shadow, "auction-par");
-        opts.config.horizon_seconds = 200.0;  // 20 slots
-        opts.warm_start_slots = true;
-        return opts;
-    };
-    emulator plain(opts_of(false));
-    emulator checked(opts_of(true));
-    for (std::size_t k = 0; k < 20; ++k) {
-        const slot_metrics& mf = plain.step();
-        const slot_metrics& md = checked.step();
-        ASSERT_EQ(mf.transfers, md.transfers) << "slot " << k;
-        ASSERT_EQ(mf.auction_bids, md.auction_bids) << "slot " << k;
-        ASSERT_EQ(mf.social_welfare, md.social_welfare) << "slot " << k;
-    }
-    EXPECT_GT(counter_value(checked, "delta.early_exit_slots"), 0u);
-    EXPECT_EQ(counter_value(checked, "delta.early_exit_slots"),
-              counter_value(plain, "delta.early_exit_slots"));
-}
-
 // Viewers keep their links' draws across slots and re-price them at the
 // live prices. economy_smoke's pricing epochs move peering prices between
 // slots while most segments stay put, so the held draws are re-priced at

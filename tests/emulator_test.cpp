@@ -53,6 +53,13 @@ TEST(emulator, run_refuses_after_manual_steps) {
     EXPECT_THROW(emu.run(), contract_violation);
 }
 
+// A slot has at least one bidding round; zero is rejected, not read as one.
+TEST(emulator, rejects_zero_bid_rounds) {
+    emulator_options opts = small_options();
+    opts.bid_rounds_per_slot = 0;
+    EXPECT_THROW(emulator{opts}, contract_violation);
+}
+
 TEST(emulator, random_scheduler_is_deterministic_and_round_seeded) {
     // The random baseline derives its per-round seed from (slot, round) via
     // sim::rng_factory: same master seed → identical runs, different master

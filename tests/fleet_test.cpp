@@ -201,6 +201,13 @@ TEST(fleet, solve_accounting_matches_swarms_slots_rounds) {
     EXPECT_EQ(fleet.solves_per_run(), 3u * 6u * 3u);
 }
 
+TEST(fleet, rejects_zero_bid_rounds) {
+    engine::fleet_options options;
+    options.config = workload::fleet_config::smoke();
+    options.swarm_options.bid_rounds_per_slot = 0;
+    EXPECT_THROW(engine::fleet{std::move(options)}, contract_violation);
+}
+
 TEST(shard, rejects_a_seed_not_derived_from_the_swarm_index) {
     auto swarms = workload::expand_fleet(workload::fleet_config::smoke(),
                                          workload::builtin_scenarios());

@@ -38,8 +38,7 @@ struct run_hashes {
 struct scenario_run_options {
     std::string scheduler = "auction";
     std::size_t solver_threads = 1;  // auction-par only
-    bool warm_start = false;
-    bool warm_start_slots = false;  // prices survive slot boundaries
+    bool warm_start = false;  // prices thread through a slot's rounds
     // Run the full rebuild as a shadow of every round's incremental build
     // (delta_shadow_check; throws on any bit-level difference).
     bool shadow = false;
@@ -54,7 +53,6 @@ run_hashes run_scenario(const std::string& name,
     opts.scheduler = ro.scheduler;
     opts.parallel_auction.num_threads = ro.solver_threads;
     opts.warm_start_rounds = ro.warm_start;
-    opts.warm_start_slots = ro.warm_start_slots;
     if (ro.shadow) opts.delta_shadow_check = true;
     std::ostringstream telemetry_out;
     std::optional<obs::jsonl_sink> sink;
@@ -228,31 +226,20 @@ TEST(slot_golden, economy_smoke_delta_parallel_matches_pinned) {
                                {.scheduler = "auction-par", .shadow = true}));
 }
 
-// Cross-slot warm starts intentionally change schedules (final prices seed
-// the next slot, and under ε-scaling a converged re-run collapses the
-// ladder to the target ε), so they are pinned by their own constants
-// (vod::golden_warm_slots_economy{,_par}) rather than the cold-start goldens.
-TEST(slot_golden, economy_smoke_warm_slots_pinned) {
-    check_against("economy_smoke", "-WARMSLOTS", &golden_warm_slots_economy,
-                  run_scenario("economy_smoke", {.warm_start_slots = true}));
+// The price-carry mode: prices thread through one slot's bidding
+// rounds and reset at its boundary. Pinned for both auctions, so the shared
+// ε-ladder driver is held to the warm-started path too, not only to cold
+// starts (constants: vod::golden_warm_rounds_economy{,_par}).
+TEST(slot_golden, economy_smoke_warm_rounds_pinned) {
+    check_against("economy_smoke", "-WARMROUNDS", &golden_warm_rounds_economy,
+                  run_scenario("economy_smoke", {.warm_start = true}));
 }
 
-TEST(slot_golden, economy_smoke_warm_slots_parallel_pinned) {
-    check_against("economy_smoke", "-WARMSLOTS-PAR",
-                  &golden_warm_slots_economy_par,
-                  run_scenario("economy_smoke", {.scheduler = "auction-par",
-                                                 .warm_start_slots = true}));
-}
-
-// Warm slot reuse under the full-build oracle: the early-exit ε schedule
-// must not disturb the bit-identity contract, so the shadow-checked run
-// lands on the same warm-slots golden.
-TEST(slot_golden, economy_smoke_warm_slots_delta_matches_same_golden) {
-    check_against("economy_smoke", "-WARMSLOTS-ORACLE-PAR",
-                  &golden_warm_slots_economy_par,
+TEST(slot_golden, economy_smoke_warm_rounds_parallel_pinned) {
+    check_against("economy_smoke", "-WARMROUNDS-PAR",
+                  &golden_warm_rounds_economy_par,
                   run_scenario("economy_smoke",
-                               {.scheduler = "auction-par",
-                                .warm_start_slots = true, .shadow = true}));
+                               {.scheduler = "auction-par", .warm_start = true}));
 }
 
 TEST(slot_golden, economy_smoke_with_telemetry_matches_pre_refactor_emulator) {

@@ -11,6 +11,7 @@
 //    welfare within (#assigned)·ε of exact, dual feasibility and full
 //    ε-complementary slackness at termination (unscaled), and bit-identical
 //    schedules/prices/counters across thread counts.
+//  * both auctions' solve() returns run()'s schedule (without the duals).
 //  * ε-scaling ladders (serial and parallel) — at EVERY phase boundary the
 //    recorded snapshot satisfies the in-phase ε-CS invariants: assigned
 //    requests hold a margin within ε of their best and ≥ −ε, exhausted
@@ -253,6 +254,30 @@ TEST(parallel_auction_properties, bit_identical_across_thread_counts) {
             EXPECT_EQ(results[i].bids_submitted, results[0].bids_submitted);
             EXPECT_EQ(results[i].evictions, results[0].evictions);
             EXPECT_EQ(results[i].abstentions, results[0].abstentions);
+        }
+    }
+}
+
+// solve() is run() without dual recovery, for both auctions: the schedule is
+// the same either way, over the degenerate corpus (zero-capacity uploaders,
+// empty rows, duplicate edges) and with the ε ladder off and on. One solver
+// serves both calls, so its reused workspaces are exercised too.
+TEST(solver_equivalence, solve_matches_run_schedule_for_both_auctions) {
+    auction_solver serial;
+    auction_solver serial_scaled({.epsilon_scaling = true, .adaptive_scaling = true});
+    parallel_auction_solver parallel;
+    parallel_auction_solver parallel_threaded({.num_threads = 2, .grain = 1});
+    std::vector<auction_driver*> solvers = {&serial, &serial_scaled, &parallel,
+                                            &parallel_threaded};
+    for (std::uint64_t seed = 0; seed < 220; ++seed) {
+        const auto problem = make_degenerate_instance(seed * 1315423911ull + 17);
+        for (std::size_t i = 0; i < solvers.size(); ++i) {
+            const schedule solved = solvers[i]->solve(problem);
+            const auction_result ran = solvers[i]->run(problem);
+            EXPECT_EQ(solved.choice, ran.sched.choice)
+                << "seed " << seed << " solver " << i;
+            EXPECT_EQ(ran.request_utility.size(), problem.num_requests())
+                << "run() recovers duals";
         }
     }
 }

@@ -720,15 +720,14 @@ TEST(telemetry_schema, v1_lines_still_parse) {
     EXPECT_TRUE(header.objects.contains("env"));
 }
 
-TEST(telemetry_schema, schema_version_is_2) {
-    EXPECT_EQ(obs::jsonl_schema_version, 2);
+TEST(telemetry_schema, schema_version_is_3) {
+    EXPECT_EQ(obs::jsonl_schema_version, 3);
 }
 
-// The slot problem build's counters (dirty/reused rows, early-exit slots)
-// ride the slot record like every other registered metric — and additively:
-// they are registered after every v1-era counter, so a v1 consumer's column
-// prefix is byte-stable and recorded v1 streams keep parsing (the frozen
-// lines above). Every run builds incrementally, so the row counters move.
+// The slot problem build's counters (dirty/reused rows) ride the slot record
+// like every other registered metric — and additively: they are registered
+// after every v1-era counter, so a v1 consumer's column prefix is byte-stable
+// and recorded v1 streams keep parsing (the frozen lines above). Every run builds incrementally, so the row counters move.
 TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
     std::ostringstream out;
     obs::jsonl_sink sink(out);
@@ -748,9 +747,7 @@ TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
         if (parsed.scalars.at("kind") == "\"header\"") {
             // Registered → declared up front, after every v1-era metric.
             const std::string metrics = parsed.scalars.at("metrics");
-            for (const char* name :
-                 {"delta.dirty_rows", "delta.reused_rows",
-                  "delta.early_exit_slots"})
+            for (const char* name : {"delta.dirty_rows", "delta.reused_rows"})
                 EXPECT_GT(metrics.find(name), metrics.find("ledger.bytes_transit"))
                     << metrics;
             continue;
@@ -759,7 +756,6 @@ TEST(telemetry_schema, slot_records_carry_delta_counters_additively) {
         ++slot_records;
         ASSERT_TRUE(parsed.scalars.contains("delta.dirty_rows")) << line;
         ASSERT_TRUE(parsed.scalars.contains("delta.reused_rows")) << line;
-        ASSERT_TRUE(parsed.scalars.contains("delta.early_exit_slots")) << line;
         EXPECT_GT(line.find("delta.dirty_rows"), line.find("ledger.bytes_transit"))
             << "delta columns must append after the v1 columns";
         dirty = std::max<std::uint64_t>(
