@@ -2,7 +2,8 @@
 //
 // Reports bids, evictions and wall time per solve as the instance grows, for
 // the ε policy at two ε values and the paper-literal policy — quantifying the
-// cost of tighter optimality (DESIGN.md §5, decision 1).
+// cost of tighter optimality (docs/ARCHITECTURE.md, `core`, bidder.h: why the
+// ε policy is the default).
 #include <chrono>
 #include <iostream>
 

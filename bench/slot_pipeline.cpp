@@ -17,15 +17,12 @@
 // compared across passes — exit 1 on divergence, any toolchain) and, on the
 // golden toolchain, must match the committed pre-refactor golden.
 //
-// The per-phase table comes from pass 2's spans, reported next to the
-// *pre-refactor* measurement of the same scenario captured before the
-// dense-peer-table + incremental-tracker refactor.
+// The per-phase table comes from pass 2's spans. It is a single run's
+// seconds on the host that ran it (hardware_concurrency is recorded in the
+// artifact); compare commits with perfbench's paired runs, not against a
+// committed artifact.
 //
 // Usage: slot_pipeline [--scenario NAME]   (default: metro_5k)
-//
-// Phase times are thread-independent (the emulator is single-threaded), so
-// the ratios hold on any host; hardware_concurrency is recorded in the
-// artifact.
 #include <array>
 #include <chrono>
 #include <cinttypes>
@@ -45,32 +42,6 @@ namespace {
 
 constexpr std::size_t num_phases = static_cast<std::size_t>(p2pcd::obs::phase::count);
 using phase_seconds = std::array<double, num_phases>;  // indexed by obs::phase
-
-struct scenario_baseline {
-    const char* scenario;
-    phase_seconds phases;  // pre-refactor seconds; shed did not exist yet
-};
-
-// Captured 2026-07-31 from the pre-refactor emulator (PR 4 head, commit
-// e4073a5) instrumented with the same phase_clock, GCC 12 / x86-64,
-// 1-core container, default emulator options. Order: arrivals, departures,
-// playback, neighbor_refresh, build, solve, apply, shed. The corresponding
-// golden hashes live in the shared spec, vod::golden_runs
-// (pipeline_golden.h).
-constexpr scenario_baseline baselines[] = {
-    {"metro_5k",
-     {0.000002, 0.000580, 0.070811, 1.047450, 20.659304, 5.437859, 1.080875, 0.0}},
-    {"flash_crowd_10k",
-     {0.004018, 0.000633, 0.066278, 3.976148, 19.016177, 6.770482, 0.585622, 0.0}},
-    {"economy_smoke",
-     {0.0, 0.000004, 0.000011, 0.000021, 0.001012, 0.000283, 0.000053, 0.0}},
-};
-
-const scenario_baseline* baseline_for(const std::string& scenario) {
-    for (const auto& b : baselines)
-        if (scenario == b.scenario) return &b;
-    return nullptr;
-}
 
 phase_seconds phases_of(const p2pcd::vod::emulator& emu) {
     phase_seconds out{};
@@ -175,8 +146,7 @@ int main(int argc, char** argv) {
     const double rss_post_construct = metrics::current_rss_mb();
     const pass_result on = run_pass(emu_on, num_slots);
     sink.flush();
-    const phase_seconds post = phases_of(emu_on);
-    const scenario_baseline* base = baseline_for(scenario);
+    const phase_seconds phases = phases_of(emu_on);
 
     // Pass 3: the identity arm — the full rebuild shadows every round's
     // incremental build and any bit-level difference throws.
@@ -205,35 +175,17 @@ int main(int argc, char** argv) {
     rep.add_scalar("rss_post_construct_mb", rss_post_construct);
     rep.add_scalar("rss_mid_run_mb", on.rss_mid_run_mb);
     rep.add_scalar("rss_end_mb", metrics::current_rss_mb());
-    rep.add_scalar("baseline_commit", base != nullptr ? "e4073a5" : "none");
 
-    // Coarse clocks can report 0.0 for a micro-scale phase; report a 0
-    // ratio rather than an infinity the JSON writer rejects.
-    const auto ratio = [](double num, double den) {
-        return num > 0.0 && den > 0.0 ? num / den : 0.0;
+    metrics::table t({"phase", "seconds"});
+    const auto add_phase = [&](const char* name, double seconds) {
+        t.add_row({name, metrics::format_double(seconds, 6)});
     };
-    auto add_phase = [&](metrics::table& table, const char* name, double pre,
-                         double now) {
-        table.add_row({name, metrics::format_double(pre, 6),
-                       metrics::format_double(now, 6),
-                       metrics::format_double(ratio(pre, now), 2)});
-    };
-    const phase_seconds pre = base != nullptr ? base->phases : phase_seconds{};
-
-    metrics::table t({"phase", "pre_seconds", "post_seconds", "speedup"});
     for (std::size_t p = 0; p < num_phases; ++p)
-        add_phase(t, obs::phase_name(static_cast<obs::phase>(p)), pre[p], post[p]);
-    add_phase(t, "non_solve_total", non_solve_of(pre), non_solve_of(post));
-    add_phase(t, "total", total_of(pre), total_of(post));
+        add_phase(obs::phase_name(static_cast<obs::phase>(p)), phases[p]);
+    add_phase("non_solve_total", non_solve_of(phases));
+    add_phase("total", total_of(phases));
     t.print(std::cout);
     rep.add_table("phases", t);
-
-    if (base != nullptr) {
-        const auto nr = static_cast<std::size_t>(obs::phase::neighbor_refresh);
-        rep.add_scalar("neighbor_refresh_speedup", ratio(pre[nr], post[nr]));
-        rep.add_scalar("non_solve_speedup",
-                       ratio(non_solve_of(pre), non_solve_of(post)));
-    }
 
     // Telemetry overhead contract: spans + counters + per-slot JSONL must
     // cost ≤ 2% of the telemetry-off slot-loop wall time.
@@ -258,7 +210,11 @@ int main(int argc, char** argv) {
 
     // The build contract: the shadow-checked run matched the full rebuild on
     // every round and hashed identical to the timing arm.
-    const double shadow_slowdown = ratio(shadow.wall_seconds, off.wall_seconds);
+    // A coarse clock can read 0.0 on a micro-scale run; report 0 rather than
+    // an infinity the JSON writer rejects.
+    const double shadow_slowdown = shadow.wall_seconds > 0.0 && off.wall_seconds > 0.0
+                                       ? shadow.wall_seconds / off.wall_seconds
+                                       : 0.0;
     rep.add_scalar("delta_identical", delta_identical);
     rep.add_scalar("slot_time_shadow_s", shadow.wall_seconds);
     rep.add_scalar("shadow_slowdown", shadow_slowdown);
@@ -302,8 +258,7 @@ int main(int argc, char** argv) {
     rep.add_scalar("golden_known", golden_known);
     rep.add_scalar("golden_ok", golden_ok);
 
-    std::printf("\nnon-solve slot time: %.3f s (pre %.3f s)\n", non_solve_of(post),
-                non_solve_of(pre));
+    std::printf("\nnon-solve slot time: %.3f s\n", non_solve_of(phases));
     std::printf("schedules %s across telemetry on/off\n",
                 passes_agree ? "MATCH" : "DIVERGED");
     if (golden_known)

@@ -1,6 +1,7 @@
 // Ablation table: welfare of every registered scheduler relative to the
-// exact optimum, across instance families (DESIGN.md §5). Also sweeps the
-// locality baseline's retry budget — the knob behind "as much as possible".
+// exact optimum, across instance families (docs/REPRODUCING.md, figure
+// table). Also sweeps the locality baseline's retry budget — the knob behind
+// "as much as possible".
 //
 // Schedulers are resolved by name through the built-in registry
 // (baseline/registry.h): registering a new algorithm adds a column here with

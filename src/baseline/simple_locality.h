@@ -3,7 +3,7 @@
 // much as possible; for bandwidth allocation at an upstream peer, it always
 // prioritizes to transmit chunks with more urgent deadlines."
 //
-// Interpretation (documented in DESIGN.md): bidding proceeds in rounds. In
+// Interpretation (docs/ARCHITECTURE.md, `baseline`): bidding proceeds in rounds. In
 // each round every still-unserved request knocks at its cheapest not-yet-tried
 // candidate; an uploader ranks the round's incoming requests by valuation
 // (urgency) and grants its remaining capacity top-down. Rejected requests try

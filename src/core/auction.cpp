@@ -149,7 +149,6 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
                                bool first_phase) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
-    const auto uploaders = problem.all_uploaders();
     // v − w is invariant across the whole solve.
     if (first_phase) net_values_.resize(problem.num_candidates());
 
@@ -158,12 +157,12 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
 
     result.sched.choice.assign(nr, no_candidate);
 
-    sellers_.resize(nu);
-    price_cache_.resize(nu);
-    for (std::size_t u = 0; u < nu; ++u) {
-        sellers_[u].reset(uploaders[u].capacity, prices[u]);
-        price_cache_[u] = sellers_[u].price();  // +inf for zero capacity
+    // Capacities are invariant across the ε ladder: lay the book out once.
+    if (first_phase) {
+        expects(nr <= seller_book::no_request, "request index exceeds 32 bits");
+        book_.layout(problem.all_uploaders());
     }
+    book_.arm(prices);
 
     // Requests 0..nr-1 are implicitly queued first (the fresh sweep); the
     // explicit queue only carries evicted losers and woken parked bidders,
@@ -183,7 +182,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     const double* cand_costs = problem.cand_costs().data();
     const request_info* all_requests = problem.all_requests().data();
     double* net_values = net_values_.data();
-    const double* price_cache = price_cache_.data();
+    const double* lambda = book_.prices();
 
     while (true) {
         std::size_t r;
@@ -218,9 +217,11 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
         }
 
         const std::uint32_t* cand_uploader = uploader_of + base;
+        const double* cand_net = net_values + base;
+        const auto price_at = [&](std::size_t i) { return lambda[cand_uploader[i]]; };
         bid_decision decision = compute_bid_with(
-            n_cands, net_values + base,
-            [&](std::size_t i) { return price_cache[cand_uploader[i]]; }, bidding);
+            n_cands, [&](std::size_t i) { return cand_net[i] - price_at(i); }, price_at,
+            bidding);
 
         switch (decision.action) {
             case bid_action::abstain:
@@ -233,20 +234,17 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
             case bid_action::submit: {
                 ++result.bids_submitted;
                 std::size_t u = cand_uploader[decision.candidate];
-                auto outcome = sellers_[u].offer(r, decision.amount);
+                const auto outcome =
+                    book_.offer(u, static_cast<std::uint32_t>(r), decision.amount);
                 // Against current prices a submitted bid always clears λ_u.
                 ensures(outcome.accepted, "synchronous bid must be accepted");
                 result.sched.choice[r] = static_cast<std::ptrdiff_t>(decision.candidate);
-                if (outcome.evicted) {
+                if (outcome.evicted != seller_book::no_request) {
                     ++result.evictions;
-                    std::size_t loser = *outcome.evicted;
-                    result.sched.choice[loser] = no_candidate;
-                    queue_.push_back(loser);
+                    result.sched.choice[outcome.evicted] = no_candidate;
+                    queue_.push_back(outcome.evicted);
                 }
-                if (outcome.price_changed) {
-                    price_cache_[u] = sellers_[u].price();
-                    ++price_version;
-                }
+                if (outcome.price_changed) ++price_version;
                 break;
             }
         }
@@ -255,7 +253,7 @@ void auction_solver::run_phase(const problem_view& problem, double epsilon,
     result.parked_at_termination = parked_.size();
 
     for (std::size_t u = 0; u < nu; ++u)
-        if (uploaders[u].capacity > 0) prices[u] = sellers_[u].price();
+        if (book_.capacity(u) > 0) prices[u] = lambda[u];
 }
 
 std::vector<double> derive_request_utilities(const problem_view& problem,
@@ -290,22 +288,17 @@ std::vector<double> derive_request_utilities(const problem_view& problem,
 
 void auction_solver::shed_memory() {
     auction_driver::shed_memory();
-    std::vector<auctioneer>().swap(sellers_);
+    book_.shed();
     std::vector<std::size_t>().swap(queue_);
     std::vector<parked_entry>().swap(parked_);
     std::vector<double>().swap(net_values_);
-    std::vector<double>().swap(price_cache_);
 }
 
 std::size_t auction_solver::workspace_bytes() const {
-    std::size_t bytes = auction_driver::workspace_bytes() +
-                        sellers_.capacity() * sizeof(auctioneer) +
-                        queue_.capacity() * sizeof(std::size_t) +
-                        parked_.capacity() * sizeof(parked_entry) +
-                        net_values_.capacity() * sizeof(double) +
-                        price_cache_.capacity() * sizeof(double);
-    for (const auto& s : sellers_) bytes += s.heap_bytes();
-    return bytes;
+    return auction_driver::workspace_bytes() + book_.bytes() +
+           queue_.capacity() * sizeof(std::size_t) +
+           parked_.capacity() * sizeof(parked_entry) +
+           net_values_.capacity() * sizeof(double);
 }
 
 }  // namespace p2pcd::core

@@ -9,7 +9,7 @@
 //  * welfare ≥ optimal − (#assigned)·ε — exactly optimal on integer-valued
 //    instances when ε < 1/(#requests).
 //
-// The solver is long-lived: auctioneer heaps, the bidding queue and the
+// The solver is long-lived: the seller book, the bidding queue and the
 // flat net-value scratch persist across run()/solve() calls, so repeated
 // solves on similarly-sized problems allocate ~nothing. run() may also be
 // warm-started from a previous round's prices (Sec. IV-C's slot price cycle),
@@ -21,9 +21,9 @@
 #include <span>
 #include <vector>
 
-#include "core/auctioneer.h"
 #include "core/bidder.h"
 #include "core/problem.h"
+#include "core/seller_book.h"
 
 namespace p2pcd::core {
 
@@ -36,10 +36,11 @@ struct auction_options {
     // ε shrinking geometrically from `scaling_initial_epsilon` down to
     // bidding.epsilon, warm-starting each phase from the previous phase's
     // prices. Cuts total bids on contended instances. Caveat (documented in
-    // EXPERIMENTS.md and quantified by bench/convergence_scaling): with
-    // scarce supply, warm-started prices on spare capacity can strand
-    // low-value requests, so the strict n·ε bound holds only for the
-    // unscaled auction; scaling trades a little welfare for speed.
+    // docs/ARCHITECTURE.md, `core`, and quantified by
+    // bench/convergence_scaling): with scarce supply, warm-started prices on
+    // spare capacity can strand low-value requests, so the strict n·ε bound
+    // holds only for the unscaled auction; scaling trades a little welfare
+    // for speed.
     bool epsilon_scaling = false;
     double scaling_initial_epsilon = 1.0;
     double scaling_factor = 4.0;
@@ -173,7 +174,7 @@ private:
     auction_options options_;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
-    std::vector<auctioneer> sellers_;
+    seller_book book_;  // its dense λ array is what every bid gathers from
     // FIFO bidding queue as a grow-only vector with a read head: total pushes
     // per phase are bounded by initial requests + evictions + wake-ups.
     std::vector<std::size_t> queue_;
@@ -186,10 +187,6 @@ private:
     // (Each candidate's uploader index is read straight from the problem's
     // u32 SoA slab — no mirror copy needed.)
     std::vector<double> net_values_;
-    // λ per uploader, mirrored out of the auctioneers into one dense array
-    // (+inf for zero capacity): the per-bid gather reads this, not the
-    // auctioneer objects.
-    std::vector<double> price_cache_;
 };
 
 }  // namespace p2pcd::core

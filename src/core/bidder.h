@@ -48,15 +48,15 @@ struct bid_decision {
     double second_margin = 0.0;  // φ̂ (includes the outside option 0)
 };
 
-// Core of the bidding rule over `n` candidates: `net_values[i]` = v − w for
-// candidate i, `price_at(i)` = λ of candidate i's uploader (+inf marks an
-// uploader that cannot sell, e.g. zero capacity). Templated on the price
-// accessor so the synchronous solver can gather prices straight out of its
-// dense per-uploader cache — this is the innermost operation of every
-// auction, called once per bid iteration, and must stay inline.
-template <typename PriceAt>
-[[nodiscard]] inline bid_decision compute_bid_with(std::size_t n,
-                                                   const double* net_values,
+// Core of the bidding rule over `n` candidates: `margin_at(i)` = v − w − λ
+// for candidate i, `price_at(i)` = λ of candidate i's uploader (+inf marks an
+// uploader that cannot sell, e.g. zero capacity); price_at is read only for
+// the winner. Every auction bids through this one kernel — the synchronous
+// solver and the Jacobi sweep gather λ straight out of the seller book's
+// dense array (a cold Jacobi round passes a zero price and no gather at
+// all). It is the innermost operation of every auction and must stay inline.
+template <typename MarginAt, typename PriceAt>
+[[nodiscard]] inline bid_decision compute_bid_with(std::size_t n, MarginAt&& margin_at,
                                                    PriceAt&& price_at,
                                                    const bidder_options& options) {
     bid_decision decision;
@@ -66,7 +66,7 @@ template <typename PriceAt>
     double second = neg_inf;
     std::size_t best_index = SIZE_MAX;
     for (std::size_t i = 0; i < n; ++i) {
-        double margin = net_values[i] - price_at(i);
+        const double margin = margin_at(i);
         if (margin > best) {
             second = best;
             best = margin;
@@ -112,7 +112,7 @@ template <typename PriceAt>
     expects(net_values.size() == prices.size(),
             "net value and price arrays must be parallel");
     return compute_bid_with(
-        net_values.size(), net_values.data(),
+        net_values.size(), [&](std::size_t i) { return net_values[i] - prices[i]; },
         [&](std::size_t i) { return prices[i]; }, options);
 }
 

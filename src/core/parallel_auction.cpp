@@ -1,7 +1,6 @@
 #include "core/parallel_auction.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/contracts.h"
 #include "engine/thread_pool.h"
@@ -64,46 +63,27 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
 
-    const double eps = epsilon;
+    bidder_options bidding = options_.bidding;
+    bidding.epsilon = epsilon;
 
     if (first_phase) {
         if (!pool_ && threads() > 1)
             pool_ = std::make_unique<engine::thread_pool>(threads());
-        // Lay out the seller slab: uploader u's assignment set lives at
-        // heap_slab_[slab_off .. slab_off + capacity) — capacities are
-        // invariant across the ε ladder, so the layout is computed once per
-        // solve.
-        const auto uploaders = problem.all_uploaders();
-        sellers_.resize(nu);
-        price_cache_.resize(nu);
-        std::size_t slab_total = 0;
-        for (std::size_t u = 0; u < nu; ++u) {
-            const auto cap = static_cast<std::uint32_t>(uploaders[u].capacity);
-            sellers_[u] = {static_cast<std::uint32_t>(slab_total), 0, 0, cap};
-            slab_total += cap;
-        }
-        expects(slab_total <= 0xffffffffu, "seller slab exceeds 32-bit offsets");
-        heap_slab_.resize(slab_total);
+        // Capacities are invariant across the ε ladder: lay the book out once.
+        book_.layout(problem.all_uploaders());
     }
 
     result.sched.choice.assign(nr, no_candidate);
 
-    // Re-arm the seller slab: empty assignment sets, prices seeded from the
-    // previous phase / warm start. A zero-capacity seller advertises +inf so
-    // no finite bid ever targets it.
-    // On a cold phase every gatherable price is 0, so round 1's margins are
-    // the net values themselves: the bid sweep is pure contiguous arithmetic
-    // over the candidate slab, with no price gather at all. (A zero-capacity
-    // uploader's +inf sentinel breaks that equivalence, so it disables the
+    // Empty assignment sets, prices seeded from the previous phase / warm
+    // start. On a cold phase every gatherable price is 0, so round 1 bids
+    // off the net values alone: the sweep is pure contiguous arithmetic over
+    // the candidate slab, with no price gather at all. (A zero-capacity
+    // seller's +inf sentinel breaks that equivalence, so it disables the
     // fast path.)
-    constexpr double inf = std::numeric_limits<double>::infinity();
-    bool cold = true;
-    for (std::size_t u = 0; u < nu; ++u) {
-        sellers_[u].size = 0;
-        sellers_[u].seq = 0;
-        price_cache_[u] = sellers_[u].capacity == 0 ? inf : prices[u];
-        cold = cold && price_cache_[u] == 0.0;
-    }
+    book_.arm(prices);
+    const double* lambda = book_.prices();
+    bool cold = std::all_of(lambda, lambda + nu, [](double p) { return p == 0.0; });
 
     active_.resize(nr);
     for (std::size_t r = 0; r < nr; ++r) active_[r] = static_cast<std::uint32_t>(r);
@@ -114,7 +94,6 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
     const std::uint32_t* cand_up = problem.cand_uploaders().data();
     const double* cand_costs = problem.cand_costs().data();
     const request_info* requests = problem.all_requests().data();
-    double* price_cache = price_cache_.data();
 
     std::uint64_t iterations = 0;
     while (!active_.empty()) {
@@ -126,62 +105,30 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
         const std::uint32_t* act = active_.data();
         bid_slot* dec = decisions_.data();
 
-        // --- bid phase: snapshot prices, positional writes only. The margin
-        // tracking replicates compute_bid_with (core/bidder.h) expression for
-        // expression — same association, same strict-> tie-breaks, same
-        // outside-option clamp — fused over each row's slab of candidate_info
-        // so cost and uploader arrive on one cache line, instead of calling
-        // the generic kernel per candidate row. The decisions (and hence the
-        // golden hashes) are bit-identical to the kernel's.
+        // --- bid phase: snapshot prices, positional writes only ---
         const bool cold_round = cold;
         for_blocks(n_active, options_.grain, [&](std::size_t lo, std::size_t hi) {
-            constexpr double neg_inf = -std::numeric_limits<double>::infinity();
             for (std::size_t i = lo; i < hi; ++i) {
                 const std::size_t r = act[i];
                 const std::size_t base = offsets[r];
-                const std::size_t end = offsets[r + 1];
-                double best = neg_inf;
-                double second = neg_inf;
-                std::size_t best_k = SIZE_MAX;
-                if (end != base) {
-                    const double v = requests[r].valuation;
-                    if (cold_round) {
-                        for (std::size_t k = base; k < end; ++k) {
-                            const double margin = v - cand_costs[k];
-                            if (margin > best) {
-                                second = best;
-                                best = margin;
-                                best_k = k;
-                            } else if (margin > second) {
-                                second = margin;
-                            }
-                        }
-                    } else {
-                        for (std::size_t k = base; k < end; ++k) {
-                            const double margin =
-                                v - cand_costs[k] - price_cache[cand_up[k]];
-                            if (margin > best) {
-                                second = best;
-                                best = margin;
-                                best_k = k;
-                            } else if (margin > second) {
-                                second = margin;
-                            }
-                        }
-                    }
-                }
-                // The outside option (stay unserved, utility 0) caps how
-                // much of the margin the bidder gives up.
-                if (second < 0.0) second = 0.0;
-                if (best_k != SIZE_MAX && best >= 0.0) {
-                    const std::uint32_t u = cand_up[best_k];
-                    const double increment = best - second;
-                    dec[i] = {static_cast<std::uint32_t>(best_k), u,
-                              cold_round ? 0.0 + increment + eps
-                                         : price_cache[u] + increment + eps};
-                } else {
+                const double v = requests[r].valuation;
+                const double* costs = cand_costs + base;
+                const std::uint32_t* ups = cand_up + base;
+                const bid_decision d =
+                    cold_round
+                        ? compute_bid_with(
+                              offsets[r + 1] - base,
+                              [&](std::size_t k) { return v - costs[k]; },
+                              [](std::size_t) { return 0.0; }, bidding)
+                        : compute_bid_with(
+                              offsets[r + 1] - base,
+                              [&](std::size_t k) { return v - costs[k] - lambda[ups[k]]; },
+                              [&](std::size_t k) { return lambda[ups[k]]; }, bidding);
+                if (d.action == bid_action::submit)
+                    dec[i] = {static_cast<std::uint32_t>(base + d.candidate),
+                              ups[d.candidate], d.amount};
+                else
                     dec[i].candidate = abstained;
-                }
             }
         });
         cold = false;
@@ -213,11 +160,14 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
         bin_fill_.resize(nt);
         loser_count_.resize(nt);
         evict_count_.resize(nt);
+        // Each touched seller's room for its whole bin is carved here,
+        // serially, so the concurrent settle below never grows a set.
         std::size_t cum = 0;
         for (std::size_t t = 0; t < nt; ++t) {
             bin_start_[t] = cum;
             bin_fill_[t] = cum;
             cum += bid_count_[touched_[t]];
+            book_.reserve(touched_[t], bid_count_[touched_[t]]);
         }
         bin_start_[nt] = cum;
         bins_.resize(total_bids);
@@ -229,82 +179,45 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
         }
 
         // --- merge phase: touched uploaders settle concurrently. Worker t
-        // owns seller touched_[t], its price cell, its loser segment, and the
+        // owns seller touched_[t] in the book, its loser segment, and the
         // choice slots of every request appearing in its bin (each active
         // request bid exactly one uploader; an evicted holder was assigned
         // here and nowhere else) — so the writes partition by construction.
         std::ptrdiff_t* choice = result.sched.choice.data();
-        slab_entry* slab = heap_slab_.data();
-        // Min-heap order, exactly core/auctioneer.h's greater_entry: top()
-        // is the lowest (amount, seq) — the eviction victim / price setter.
-        const auto cmp = [](const slab_entry& a, const slab_entry& b) noexcept {
-            if (a.amount != b.amount) return a.amount > b.amount;
-            return a.seq > b.seq;
-        };
         for_blocks(nt, /*grain=*/16, [&](std::size_t lo, std::size_t hi) {
             for (std::size_t t = lo; t < hi; ++t) {
                 const std::uint32_t u = touched_[t];
-                seller_meta meta = sellers_[u];
-                slab_entry* heap = slab + meta.slab_off;
-                std::uint32_t size = meta.size;
-                std::uint32_t seq = meta.seq;
-                const std::uint32_t cap = meta.capacity;
-                double lambda = price_cache[u];
                 const std::size_t start = bin_start_[t];
-                const std::size_t count = bin_start_[t + 1] - start;
+                const std::size_t end = bin_start_[t + 1];
                 std::uint32_t nlos = 0;
                 std::uint64_t nevict = 0;
-                std::size_t clearing = 0;
-                for (std::size_t k = start; k < start + count; ++k)
-                    clearing += bins_[k].amount > lambda;
-                if (clearing == count && size + count <= cap) {
-                    // Bulk path: everything fits and clears λ_u — identical
-                    // outcome to sequential offers, one heapify at the end.
-                    for (std::size_t k = start; k < start + count; ++k) {
-                        heap[size++] = {bins_[k].amount, seq++, bins_[k].request};
+                const bool all_clear =
+                    std::all_of(bins_.begin() + start, bins_.begin() + end,
+                                [&](const bin_entry& b) { return b.amount > lambda[u]; });
+                if (all_clear && book_.fits(u, end - start)) {
+                    for (std::size_t k = start; k < end; ++k) {
+                        book_.append(u, bins_[k].request, bins_[k].amount);
                         choice[bins_[k].request] = static_cast<std::ptrdiff_t>(
                             bins_[k].candidate - offsets[bins_[k].request]);
                     }
-                    std::make_heap(heap, heap + size, cmp);
-                    if (size == cap) {
-                        const double np = heap[0].amount;
-                        ensures(np >= lambda, "bandwidth price must be "
-                                              "non-decreasing during an auction");
-                        lambda = np;
-                    }
+                    book_.settle(u);
                 } else {
-                    for (std::size_t k = start; k < start + count; ++k) {
+                    for (std::size_t k = start; k < end; ++k) {
                         const std::uint32_t r = bins_[k].request;
-                        // "if b(d,c,u) <= λ_u, reject"
-                        if (bins_[k].amount <= lambda) {
+                        const auto o = book_.offer(u, r, bins_[k].amount);
+                        if (!o.accepted) {
                             losers_[start + nlos++] = r;
                             continue;
                         }
-                        if (size == cap) {
-                            // Evict the lowest bid to make room.
-                            std::pop_heap(heap, heap + size, cmp);
-                            const std::uint32_t l = heap[--size].request;
+                        if (o.evicted != seller_book::no_request) {
                             ++nevict;
-                            choice[l] = no_candidate;
-                            losers_[start + nlos++] = l;
+                            choice[o.evicted] = no_candidate;
+                            losers_[start + nlos++] = o.evicted;
                         }
-                        heap[size++] = {bins_[k].amount, seq++, r};
-                        std::push_heap(heap, heap + size, cmp);
                         choice[r] = static_cast<std::ptrdiff_t>(bins_[k].candidate -
                                                                 offsets[r]);
-                        if (size == cap) {
-                            // "update λ_u to the smallest bid among all
-                            // requests in A"
-                            const double np = heap[0].amount;
-                            ensures(np >= lambda, "bandwidth price must be "
-                                                  "non-decreasing during an auction");
-                            lambda = np;
-                        }
                     }
                 }
-                sellers_[u].size = size;
-                sellers_[u].seq = seq;
-                price_cache[u] = lambda;
                 loser_count_[t] = nlos;
                 evict_count_[t] = nevict;
             }
@@ -323,14 +236,12 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
     }
 
     for (std::size_t u = 0; u < nu; ++u)
-        if (sellers_[u].capacity > 0) prices[u] = price_cache_[u];
+        if (book_.capacity(u) > 0) prices[u] = lambda[u];
 }
 
 void parallel_auction_solver::shed_memory() {
     auction_driver::shed_memory();
-    std::vector<slab_entry>().swap(heap_slab_);
-    std::vector<seller_meta>().swap(sellers_);
-    std::vector<double>().swap(price_cache_);
+    book_.shed();
     std::vector<std::uint32_t>().swap(active_);
     std::vector<std::uint32_t>().swap(next_active_);
     std::vector<bid_slot>().swap(decisions_);
@@ -346,10 +257,7 @@ void parallel_auction_solver::shed_memory() {
 }
 
 std::size_t parallel_auction_solver::workspace_bytes() const {
-    return auction_driver::workspace_bytes() +
-           heap_slab_.capacity() * sizeof(slab_entry) +
-           sellers_.capacity() * sizeof(seller_meta) +
-           price_cache_.capacity() * sizeof(double) +
+    return auction_driver::workspace_bytes() + book_.bytes() +
            active_.capacity() * sizeof(std::uint32_t) +
            next_active_.capacity() * sizeof(std::uint32_t) +
            decisions_.capacity() * sizeof(bid_slot) +

@@ -5,15 +5,17 @@
 // unassigned request computes its bid against a snapshot of the bandwidth
 // prices, then the bids are merged uploader by uploader. Both halves
 // parallelize on an engine::thread_pool —
-//  * bid phase: the active requests are split into blocks; each block sweeps
-//    its rows of the flat CSR candidate slab, computing v − w − λ margins on
-//    the fly (on a cold round the sweep is pure contiguous arithmetic — no
-//    price gather at all) and writes its decisions positionally;
+//  * bid phase: the active requests are split into blocks; each block runs
+//    the shared bid kernel (compute_bid_with, core/bidder.h) over its rows
+//    of the flat CSR candidate slab, computing v − w − λ margins on the fly
+//    (on a cold round the sweep is pure contiguous arithmetic — no price
+//    gather at all) and writes its decisions positionally;
 //  * merge phase: bids are binned by uploader in request order (a serial
 //    counting sort, so the per-uploader bid order is canonical), then the
-//    touched uploaders are processed concurrently — each auctioneer's heap,
-//    price cell and loser slots are owned by exactly one item, so the merge
-//    is race-free by construction.
+//    touched uploaders settle concurrently in the shared seller book
+//    (core/seller_book.h) — each seller's set, price cell and loser slots
+//    are owned by exactly one item, so the merge is race-free by
+//    construction.
 // Losers (rejected or evicted) re-bid next round against the new prices.
 //
 // Determinism contract: the schedule, the final prices and every counter are
@@ -38,6 +40,7 @@
 #include "core/auction.h"
 #include "core/bidder.h"
 #include "core/problem.h"
+#include "core/seller_book.h"
 
 namespace p2pcd::engine {
 class thread_pool;
@@ -109,29 +112,7 @@ private:
     std::unique_ptr<engine::thread_pool> pool_;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
-    // Seller state lives in one flat slab instead of per-uploader auctioneer
-    // objects: uploader u's assignment set is the min-heap (same std::*_heap
-    // calls and (amount, seq) comparator as core/auctioneer.h, so outcomes —
-    // including FIFO eviction tie-breaks — are bit-identical) occupying
-    // heap_slab_[slab_off_[u] .. slab_off_[u] + sell_size_[u]). Contiguity
-    // replaces 20k+ scattered heap vectors with one streamed allocation.
-    struct slab_entry {
-        double amount = 0.0;
-        std::uint32_t seq = 0;  // FIFO tie-break: equal bids evict oldest first
-        std::uint32_t request = 0;
-    };
-    std::vector<slab_entry> heap_slab_;
-    // Everything the merge needs about a seller in one 16-byte cell: the
-    // settle loop visits ~every uploader in random order, so one cache line
-    // pull per seller instead of four parallel-array gathers.
-    struct seller_meta {
-        std::uint32_t slab_off = 0;  // start of this seller's heap in the slab
-        std::uint32_t size = 0;
-        std::uint32_t seq = 0;
-        std::uint32_t capacity = 0;
-    };
-    std::vector<seller_meta> sellers_;
-    std::vector<double> price_cache_;  // λ per uploader (+inf for zero cap)
+    seller_book book_;
     std::vector<std::uint32_t> active_;       // unassigned requests, ascending
     std::vector<std::uint32_t> next_active_;  // next round's losers
     std::vector<bid_slot> decisions_;         // by active position

@@ -54,7 +54,7 @@ struct transportation_solution {
 // optimal primal and feasible duals from a strongly feasible spanning-tree
 // basis (Cunningham) pivoted until no arc prices out. Backs core's "exact"
 // scheduler; the tests hold it against brute force on tiny instances and
-// against the dense LP (opt/simplex.h) on larger ones.
+// against the dense LP (tests/lp/simplex.h) on larger ones.
 [[nodiscard]] transportation_solution solve_transportation_simplex(
     const transportation_instance& instance);
 

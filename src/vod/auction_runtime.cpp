@@ -24,12 +24,11 @@ auction_runtime::auction_runtime(core::problem_view problem,
 
     expects(options_.initial_prices.empty() || options_.initial_prices.size() == nu,
             "initial price vector must cover every uploader");
-    sellers_.reserve(nu);
-    for (std::size_t u = 0; u < nu; ++u) {
-        double warm = options_.initial_prices.empty() ? 0.0 : options_.initial_prices[u];
-        sellers_.emplace_back(problem.uploader(u).capacity, warm);
+    expects(nr <= core::seller_book::no_request, "request index exceeds 32 bits");
+    sellers_.layout(problem.all_uploaders());
+    sellers_.arm(options_.initial_prices);
+    for (std::size_t u = 0; u < nu; ++u)
         uploaders_of_peer_[problem.uploader(u).who].push_back(u);
-    }
     uploader_departed_.assign(nu, false);
 
     bidders_.resize(nr);
@@ -123,27 +122,28 @@ void auction_runtime::try_bid(std::size_t request) {
 void auction_runtime::on_bid(std::size_t uploader, std::size_t request, double amount) {
     peer_id seller_peer = problem_.uploader(uploader).who;
     peer_id bidder_peer = problem_.request(request).downstream;
-    auto outcome = sellers_[uploader].offer(request, amount);
+    const auto outcome =
+        sellers_.offer(uploader, static_cast<std::uint32_t>(request), amount);
     if (!outcome.accepted) {
         ++rejections_;
         // The rejection carries the standing price: the bidder's cache was
         // stale, and this is how it catches up.
         network_.send(seller_peer, bidder_peer,
                       {message::kind::reject, request, uploader,
-                       sellers_[uploader].price()});
+                       sellers_.price(uploader)});
         return;
     }
     note_activity();
     network_.send(seller_peer, bidder_peer,
                   {message::kind::accept, request, uploader, amount});
-    if (outcome.evicted) {
+    if (outcome.evicted != core::seller_book::no_request) {
         ++evictions_;
-        std::size_t loser = *outcome.evicted;
+        const std::size_t loser = outcome.evicted;
         network_.send(seller_peer, problem_.request(loser).downstream,
                       {message::kind::evict, loser, uploader,
-                       sellers_[uploader].price()});
+                       sellers_.price(uploader)});
     }
-    if (outcome.price_changed) broadcast_price(uploader, sellers_[uploader].price());
+    if (outcome.price_changed) broadcast_price(uploader, sellers_.price(uploader));
 }
 
 void auction_runtime::handle(peer_id self, peer_id from, const message& msg) {
@@ -218,16 +218,16 @@ runtime_result auction_runtime::run(metrics::time_series* price_probe,
 
     runtime_result result;
     result.auction.sched.choice.assign(problem_.num_requests(), core::no_candidate);
-    for (std::size_t u = 0; u < sellers_.size(); ++u) {
-        for (const auto& held : sellers_[u].assignment_set()) {
+    for (std::size_t u = 0; u < sellers_.num_sellers(); ++u) {
+        for (const auto& held : sellers_.holders(u)) {
             result.auction.sched.choice[held.request] =
                 static_cast<std::ptrdiff_t>(ordinal_of_uploader_[held.request].at(u));
         }
     }
     result.auction.prices.assign(problem_.num_uploaders(), 0.0);
-    for (std::size_t u = 0; u < sellers_.size(); ++u)
-        if (problem_.uploader(u).capacity > 0 && !uploader_departed_[u])
-            result.auction.prices[u] = sellers_[u].price();
+    for (std::size_t u = 0; u < sellers_.num_sellers(); ++u)
+        if (sellers_.capacity(u) > 0 && !uploader_departed_[u])
+            result.auction.prices[u] = sellers_.price(u);
     result.auction.request_utility =
         core::derive_request_utilities(problem_, result.auction.prices);
     result.auction.bids_submitted = bids_submitted_;
@@ -259,10 +259,9 @@ void auction_runtime::depart_now(peer_id who) {
             if (st.assigned) {
                 const auto& cands = problem_.candidates(r);
                 std::size_t u = cands[st.assigned_candidate].uploader;
-                double before = sellers_[u].price();
-                sellers_[u].remove(r);
-                if (sellers_[u].price() != before)
-                    broadcast_price(u, sellers_[u].price());
+                const double before = sellers_.price(u);
+                sellers_.remove(u, static_cast<std::uint32_t>(r));
+                if (sellers_.price(u) != before) broadcast_price(u, sellers_.price(u));
             }
             st.assigned = false;
             st.pending = false;
@@ -278,8 +277,8 @@ void auction_runtime::depart_now(peer_id who) {
     if (auto ups = uploaders_of_peer_.find(who); ups != uploaders_of_peer_.end()) {
         for (std::size_t u : ups->second) {
             uploader_departed_[u] = true;
-            for (const auto& held : sellers_[u].assignment_set())
-                sellers_[u].remove(held.request);
+            while (!sellers_.holders(u).empty())
+                sellers_.remove(u, sellers_.holders(u).front().request);
             for (std::size_t r : requests_watching_[u]) {
                 bidder_state& st = bidders_[r];
                 st.cached_prices[ordinal_of_uploader_[r].at(u)] = inf;

@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "core/auction.h"
-#include "core/auctioneer.h"
 #include "core/bidder.h"
 #include "core/problem.h"
+#include "core/seller_book.h"
 #include "metrics/time_series.h"
 #include "net/message_network.h"
 #include "sim/simulator.h"
@@ -114,7 +114,7 @@ private:
     sim::simulator simulator_;
     net::message_network<message> network_;
 
-    std::vector<core::auctioneer> sellers_;
+    core::seller_book sellers_;
     std::vector<bidder_state> bidders_;
     std::vector<bool> uploader_departed_;
 

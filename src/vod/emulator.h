@@ -1,6 +1,6 @@
 // The P2P VoD system emulator — the C++ discrete-time substitute for the
-// paper's Java cluster emulator (see DESIGN.md §2 for the substitution
-// argument).
+// paper's Java cluster emulator (docs/ARCHITECTURE.md, `vod`, gives the
+// substitution argument).
 //
 // One emulator owns the catalog, ISP topology, cost model, tracker, seeds and
 // viewers, and advances slot by slot:

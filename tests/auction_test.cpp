@@ -5,7 +5,7 @@
 #include "common/contracts.h"
 #include "core/exact.h"
 #include "core/welfare.h"
-#include "opt/duality.h"
+#include "lp/duality.h"
 #include "workload/instance_gen.h"
 
 namespace p2pcd::core {

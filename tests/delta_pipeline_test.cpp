@@ -94,6 +94,35 @@ TEST_P(delta_pipeline, jacobi_delta_matches_full_rebuild) {
 
 INSTANTIATE_TEST_SUITE_P(seeds, delta_pipeline, ::testing::Range(0, 4));
 
+// A neighbor segment longer than a candidate mask holds (32 bits) cannot be
+// emitted from the row's masks; such rows take the row-by-row fallback
+// build. One video and 40 neighbors per viewer put most rows there, and the
+// shadowed run must still match the full rebuild and an unchecked twin.
+TEST(delta_pipeline, rows_past_the_mask_width_take_the_fallback_build) {
+    auto opts_of = [](bool shadow) {
+        emulator_options opts = churny_options(41, shadow);
+        opts.config.num_videos = 1;
+        opts.config.initial_peers = 60;
+        opts.config.neighbor_count = 40;
+        opts.config.horizon_seconds = 100.0;  // 10 slots
+        return opts;
+    };
+    emulator plain(opts_of(false));
+    emulator checked(opts_of(true));
+    std::size_t widest = 0;
+    for (std::size_t k = 0; k < 10; ++k) {
+        const slot_metrics& mf = plain.step();
+        const slot_metrics& md = checked.step();
+        ASSERT_EQ(mf.transfers, md.transfers) << "slot " << k;
+        ASSERT_EQ(mf.auction_bids, md.auction_bids) << "slot " << k;
+        ASSERT_EQ(mf.social_welfare, md.social_welfare) << "slot " << k;
+        for (std::size_t row = 0; row < checked.peers().rows(); ++row)
+            widest = std::max(widest, checked.neighbor_rows(row).size());
+    }
+    EXPECT_GT(widest, 32u) << "no row outgrew the mask width";
+    EXPECT_GT(counter_value(checked, "delta.dirty_rows"), 0u);
+}
+
 // The build is emulator-side and single-threaded; the Jacobi solver's
 // determinism contract (never a function of num_threads) must hold on the
 // shadow-checked build path too.

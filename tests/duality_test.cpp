@@ -1,4 +1,4 @@
-#include "opt/duality.h"
+#include "lp/duality.h"
 
 #include <gtest/gtest.h>
 

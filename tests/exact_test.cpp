@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/welfare.h"
-#include "opt/duality.h"
+#include "lp/duality.h"
 #include "workload/instance_gen.h"
 
 namespace p2pcd::core {

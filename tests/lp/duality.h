@@ -5,8 +5,8 @@
 // the duality gap is (near) zero, and the complementary-slackness conditions
 // listed in Appendix A hold — up to ε for the ε-auction (Bertsekas
 // ε-complementary slackness gives welfare within n·ε of optimal).
-#ifndef P2PCD_OPT_DUALITY_H
-#define P2PCD_OPT_DUALITY_H
+#ifndef P2PCD_TESTS_LP_DUALITY_H
+#define P2PCD_TESTS_LP_DUALITY_H
 
 #include <string>
 #include <vector>
@@ -46,4 +46,4 @@ namespace p2pcd::opt {
 
 }  // namespace p2pcd::opt
 
-#endif  // P2PCD_OPT_DUALITY_H
+#endif  // P2PCD_TESTS_LP_DUALITY_H

@@ -1,4 +1,4 @@
-#include "opt/lp_model.h"
+#include "lp/lp_model.h"
 
 #include <algorithm>
 #include <cmath>

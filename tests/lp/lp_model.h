@@ -4,8 +4,8 @@
 // is integral (transportation / totally unimodular constraint matrix). The LP
 // model here lets tests state problem (1) and its dual (5) literally, solve
 // both with the simplex, and check strong duality against the auction output.
-#ifndef P2PCD_OPT_LP_MODEL_H
-#define P2PCD_OPT_LP_MODEL_H
+#ifndef P2PCD_TESTS_LP_LP_MODEL_H
+#define P2PCD_TESTS_LP_LP_MODEL_H
 
 #include <string>
 #include <vector>
@@ -73,4 +73,4 @@ private:
 
 }  // namespace p2pcd::opt
 
-#endif  // P2PCD_OPT_LP_MODEL_H
+#endif  // P2PCD_TESTS_LP_LP_MODEL_H

@@ -1,4 +1,4 @@
-#include "opt/matrix.h"
+#include "lp/matrix.h"
 
 #include <algorithm>
 #include <cmath>

@@ -5,8 +5,8 @@
 // simplex is used on modest LPs for verification), so a straightforward dense
 // representation with elementary row operations is the right tool — no
 // sparse package needed.
-#ifndef P2PCD_OPT_MATRIX_H
-#define P2PCD_OPT_MATRIX_H
+#ifndef P2PCD_TESTS_LP_MATRIX_H
+#define P2PCD_TESTS_LP_MATRIX_H
 
 #include <cstddef>
 #include <vector>
@@ -47,4 +47,4 @@ private:
 
 }  // namespace p2pcd::opt
 
-#endif  // P2PCD_OPT_MATRIX_H
+#endif  // P2PCD_TESTS_LP_MATRIX_H

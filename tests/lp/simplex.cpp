@@ -1,11 +1,11 @@
-#include "opt/simplex.h"
+#include "lp/simplex.h"
 
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/contracts.h"
-#include "opt/matrix.h"
+#include "lp/matrix.h"
 
 namespace p2pcd::opt {
 

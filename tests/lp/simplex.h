@@ -5,10 +5,10 @@
 // termination under degeneracy. Reported duals are shadow prices
 // (d objective / d rhs), so for the maximization problem (1) the capacity
 // constraint's shadow price is exactly the paper's bandwidth price λ_u.
-#ifndef P2PCD_OPT_SIMPLEX_H
-#define P2PCD_OPT_SIMPLEX_H
+#ifndef P2PCD_TESTS_LP_SIMPLEX_H
+#define P2PCD_TESTS_LP_SIMPLEX_H
 
-#include "opt/lp_model.h"
+#include "lp/lp_model.h"
 
 namespace p2pcd::opt {
 
@@ -24,4 +24,4 @@ struct simplex_options {
 
 }  // namespace p2pcd::opt
 
-#endif  // P2PCD_OPT_SIMPLEX_H
+#endif  // P2PCD_TESTS_LP_SIMPLEX_H

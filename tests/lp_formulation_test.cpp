@@ -10,9 +10,9 @@
 #include "core/auction.h"
 #include "core/exact.h"
 #include "core/welfare.h"
-#include "opt/duality.h"
-#include "opt/lp_model.h"
-#include "opt/simplex.h"
+#include "lp/duality.h"
+#include "lp/lp_model.h"
+#include "lp/simplex.h"
 #include "workload/instance_gen.h"
 
 namespace p2pcd {

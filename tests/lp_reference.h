@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "opt/lp_model.h"
+#include "lp/lp_model.h"
 #include "opt/transportation.h"
 
 namespace p2pcd::opt {

@@ -1,4 +1,4 @@
-#include "opt/matrix.h"
+#include "lp/matrix.h"
 
 #include <gtest/gtest.h>
 

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "lp_reference.h"
-#include "opt/simplex.h"
+#include "lp/simplex.h"
 #include "opt/transportation.h"
 #include "sim/rng.h"
 

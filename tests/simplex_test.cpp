@@ -1,8 +1,8 @@
-#include "opt/simplex.h"
+#include "lp/simplex.h"
 
 #include <gtest/gtest.h>
 
-#include "opt/lp_model.h"
+#include "lp/lp_model.h"
 
 namespace p2pcd::opt {
 namespace {

@@ -19,10 +19,13 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/jsonl_sink.h"
+#include "vod/auction_runtime.h"
 #include "vod/emulator.h"
 #include "vod/pipeline_golden.h"
+#include "workload/instance_gen.h"
 #include "workload/scenario_registry.h"
 
 namespace p2pcd::vod {
@@ -267,6 +270,102 @@ TEST(slot_golden, exact_three_slot_smoke) {
                         "set P2PCD_GOLDEN_STRICT=1 to compare anyway";
     EXPECT_EQ(h, golden_simplex_smoke_metrics)
         << "exact smoke metrics diverged";
+}
+
+// --- the message-level runtime (vod::auction_runtime) ---
+//
+// Captured 2026-10-19 on GCC 12 / x86-64 from the runtime as it stood before
+// the three auctions moved onto one seller book (core/seller_book.h): the
+// book's heap layout may differ from the per-auctioneer vectors it replaced,
+// but keys are unique per seller, so no outcome may move.
+inline constexpr std::uint64_t golden_distributed_window = 0xb81785b4b0e3493bull;
+inline constexpr std::uint64_t golden_runtime_churn = 0x3f1474e2f2aa6eafull;
+
+void check_hash(const char* tag, std::uint64_t h, std::uint64_t golden) {
+    if (std::getenv("P2PCD_GOLDEN_DUMP") != nullptr)
+        std::printf("GOLDEN-%s %016llxull\n", tag, static_cast<unsigned long long>(h));
+    if (!golden_toolchain && std::getenv("P2PCD_GOLDEN_STRICT") == nullptr)
+        GTEST_SKIP() << "golden constants were captured with GCC/x86-64; "
+                        "set P2PCD_GOLDEN_STRICT=1 to compare anyway";
+    EXPECT_EQ(h, golden) << tag << " diverged";
+}
+
+// coupled_smoke (arrival churn) with slots 10 s .. 40 s run as message-level
+// auctions over the simulated network: every slot's metrics, then Fig. 2's λ
+// series of the representative peer the run picks.
+TEST(slot_golden, distributed_window_runtime_pinned) {
+    emulator_options opts;
+    opts.config = workload::builtin_scenarios().make("coupled_smoke");
+    opts.distributed_from = 10.0;
+    opts.distributed_to = 40.0;
+    opts.latency_per_cost = 0.02;
+    const std::size_t slots = opts.config.num_slots();
+    emulator emu(std::move(opts));
+    std::uint64_t h = golden_seed;
+    for (std::size_t k = 0; k < slots; ++k)
+        golden_mix_metrics(h, emu.step());
+    const auto& series = emu.price_series();
+    ASSERT_GT(series.size(), 1u) << "the window must move a price";
+    golden_mix(h, static_cast<std::uint64_t>(emu.probe_peer().value()));
+    for (const auto& point : series.points()) {
+        golden_mix(h, point.time);
+        golden_mix(h, point.value);
+    }
+    check_hash("DISTRIBUTED", h, golden_distributed_window);
+}
+
+// One contended runtime auction with departures mid-flight: bidders that
+// hold units leave (the seller releases them and re-announces a lower λ) and
+// two sellers close. Pins the schedule, the duals, every counter and the
+// full λ-change log.
+TEST(slot_golden, runtime_churn_pinned) {
+    workload::uniform_instance_params params;
+    params.num_requests = 80;
+    params.num_uploaders = 10;
+    params.candidates_per_request = 4;
+    params.capacity_min = 1;
+    params.capacity_max = 4;
+    params.seed = 2026;
+    const auto p = workload::make_uniform_instance(params);
+
+    runtime_options ro;
+    ro.bidding = {core::bid_policy::epsilon, 1e-3};
+    ro.latency = [](peer_id a, peer_id b) {
+        return 0.01 + 0.002 * static_cast<double>((a.value() * 31 + b.value() * 17) % 13);
+    };
+    ro.duration = 60.0;
+    ro.record_price_log = true;
+    auction_runtime runtime(p, std::move(ro));
+    for (std::int32_t k = 0; k < 12; ++k)  // bidders, most holding a unit
+        runtime.depart_peer_at(peer_id(10 + 6 * k), 0.15 + 0.05 * k);
+    runtime.depart_peer_at(peer_id(3), 0.2);
+    runtime.depart_peer_at(peer_id(7), 0.45);
+    const runtime_result result = runtime.run();
+
+    std::uint64_t h = golden_seed;
+    for (std::ptrdiff_t c : result.auction.sched.choice)
+        golden_mix(h, static_cast<std::uint64_t>(c));
+    for (double lambda : result.auction.prices) golden_mix(h, lambda);
+    for (double eta : result.auction.request_utility) golden_mix(h, eta);
+    golden_mix(h, result.auction.bids_submitted);
+    golden_mix(h, result.auction.evictions);
+    golden_mix(h, result.auction.abstentions);
+    golden_mix(h, static_cast<std::uint64_t>(result.auction.converged));
+    golden_mix(h, result.convergence_time);
+    golden_mix(h, result.messages_sent);
+    golden_mix(h, result.messages_dropped);
+    std::vector<double> last(p.num_uploaders(), 0.0);
+    bool price_fell = false;
+    for (const auto& ev : result.price_log) {
+        golden_mix(h, ev.time);
+        golden_mix(h, static_cast<std::uint64_t>(ev.uploader));
+        golden_mix(h, ev.price);
+        price_fell = price_fell || ev.price < last[ev.uploader];
+        last[ev.uploader] = ev.price;
+    }
+    EXPECT_GT(result.messages_dropped, 0u) << "departures must drop messages";
+    EXPECT_TRUE(price_fell) << "a departing holder must reopen a full seller";
+    check_hash("RUNTIME-CHURN", h, golden_runtime_churn);
 }
 
 }  // namespace

@@ -29,8 +29,8 @@
 #include "core/parallel_auction.h"
 #include "core/welfare.h"
 #include "lp_reference.h"
-#include "opt/duality.h"
-#include "opt/simplex.h"
+#include "lp/duality.h"
+#include "lp/simplex.h"
 #include "opt/transportation.h"
 #include "sim/rng.h"
 #include "workload/instance_gen.h"
@@ -264,7 +264,10 @@ TEST(parallel_auction_properties, bit_identical_across_thread_counts) {
 // serves both calls, so its reused workspaces are exercised too.
 TEST(solver_equivalence, solve_matches_run_schedule_for_both_auctions) {
     auction_solver serial;
-    auction_solver serial_scaled({.epsilon_scaling = true, .adaptive_scaling = true});
+    auction_options scaled;
+    scaled.epsilon_scaling = true;
+    scaled.adaptive_scaling = true;
+    auction_solver serial_scaled(scaled);
     parallel_auction_solver parallel;
     parallel_auction_solver parallel_threaded({.num_threads = 2, .grain = 1});
     std::vector<auction_driver*> solvers = {&serial, &serial_scaled, &parallel,

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
-#include "opt/duality.h"
+#include "lp/duality.h"
 #include "sim/rng.h"
 
 namespace p2pcd::opt {
