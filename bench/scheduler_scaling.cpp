@@ -1,6 +1,5 @@
 // Solve throughput and peak RSS vs. problem size, for every scheduler in the
-// built-in registry — the bench behind the CSR/workspace refactor's headline
-// number (see docs/REPRODUCING.md for the recorded before/after reference).
+// built-in registry (see docs/REPRODUCING.md for how to read the artifact).
 //
 // Problem sizes are derived from the named scenarios in the scenario
 // registry: each selected scenario's population (initial peers, or expected
@@ -194,17 +193,6 @@ int main() {
 
     rep.add_scalar("auction_metro_20k_solves_per_s", auction_20k_rate);
     rep.add_scalar("auction_par_metro_20k_solves_per_s", auction_par_20k_rate);
-    // The PR 6 headline, against the solve-phase throughput recorded in the
-    // committed bench/slot_pipeline.json (metro_5k, 25 slots x 5 bidding
-    // rounds = 125 scheduler dispatches in 6.3166 s -> 19.79 solves/s, at
-    // commit e4073a5). The new row is a pure auction-par solve of the 4x
-    // larger metro_20k instance; the acceptance bar is >= 2x that recorded
-    // baseline rate.
-    constexpr double slot_pipeline_baseline = 125.0 / 6.316602;
-    rep.add_scalar("slot_pipeline_solve_baseline_solves_per_s",
-                   slot_pipeline_baseline);
-    rep.add_scalar("metro_20k_speedup_vs_slot_pipeline_baseline",
-                   auction_par_20k_rate / slot_pipeline_baseline);
     // Same-instance ratio: auction-par vs the serial Gauss-Seidel auction on
     // the identical metro_20k problem. At 1 solver thread both are bound by
     // the same ~5 MB candidate stream, so this ratio hovers near 1; the
@@ -216,12 +204,6 @@ int main() {
                                           : 0.0);
     rep.add_scalar("hardware_concurrency",
                    static_cast<double>(std::thread::hardware_concurrency()));
-
-    // Reference measured at the parent commit (pre-CSR scheduling core) on
-    // the same container and instance shape (5000 peers / 20 ISPs / 10000
-    // requests / 80000 candidates, seed 7): 606.8 auction solves/s. The
-    // acceptance bar for the refactor is ≥ 2x this on the full-scale run.
-    rep.add_scalar("pre_refactor_auction_metro_5k_solves_per_s_reference", 606.8);
 
     rep.add_table("throughput", t);
     bench::write_artifact("scheduler_scaling", rep);

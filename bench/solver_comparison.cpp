@@ -52,11 +52,10 @@ int main() {
 
     core::scheduler_params solver_params;
     solver_params.auction = {.bidding = {core::bid_policy::epsilon, 1e-3}};
-    // Same target ε as the serial column. auction-par keeps its deployment
-    // default (adaptive ε-scaling ON), so its column shows the documented
-    // scaling tradeoff on scarce supply — run with epsilon_scaling = false
-    // it matches the serial auction's welfare (tests/solver_equivalence
-    // pins that); here we bench what the emulator actually runs.
+    // Same ε as the serial column: both auctions carry Theorem 1's
+    // welfare ≥ optimal − (#assigned)·ε bound (tests/solver_equivalence
+    // pins it), so the two columns differ only by Jacobi-vs-Gauss-Seidel
+    // tie resolution.
     solver_params.parallel_auction.bidding = {core::bid_policy::epsilon, 1e-3};
 
     std::vector<std::string> columns = {"family"};

@@ -32,45 +32,11 @@ struct auction_options {
     // Safety valve; a correct ε-auction terminates long before this.
     std::uint64_t max_bid_iterations = 100'000'000;
 
-    // ε-scaling (Bertsekas & Castañón 1989): run the auction in phases with
-    // ε shrinking geometrically from `scaling_initial_epsilon` down to
-    // bidding.epsilon, warm-starting each phase from the previous phase's
-    // prices. Cuts total bids on contended instances. Caveat (documented in
-    // docs/ARCHITECTURE.md, `core`, and quantified by
-    // bench/convergence_scaling): with scarce supply, warm-started prices on
-    // spare capacity can strand low-value requests, so the strict n·ε bound
-    // holds only for the unscaled auction; scaling trades a little welfare
-    // for speed.
-    bool epsilon_scaling = false;
-    double scaling_initial_epsilon = 1.0;
-    double scaling_factor = 4.0;
-    // Adaptive round schedule (only with epsilon_scaling): derive the ladder
-    // from the instance instead of `scaling_initial_epsilon` — supply-rich
-    // instances (total capacity covers every request) run a single phase at
-    // the target ε, contended ones start at max(v−w)/scaling_factor. The
-    // phase count thus tracks the instance's contention, not a fixed knob.
-    bool adaptive_scaling = false;
-    // Record an auction_phase_snapshot at every phase boundary (prices as
-    // the phase left them, before the inter-phase spare-capacity repair).
-    // Off by default: the trace exists for the ε-CS property tests.
-    bool record_phase_trace = false;
-
     // Dual recovery (η per request) is a full candidate sweep per run().
     // Consumers that only read the schedule and λ (the emulator) turn it
     // off; `result.request_utility` comes back empty. solve() never recovers
     // duals. Never changes the schedule or the prices.
     bool compute_request_utilities = true;
-};
-
-// Phase-boundary state of an ε-scaling run, recorded when
-// `record_phase_trace` is set: the ε the phase ran at, its final prices
-// (pre-repair) and its schedule. Every snapshot must satisfy ε-complementary
-// slackness at its own ε — the invariant tests/solver_equivalence_property
-// pins for both the synchronous and the parallel auction.
-struct auction_phase_snapshot {
-    double epsilon = 0.0;
-    std::vector<double> prices;
-    std::vector<std::ptrdiff_t> choice;
 };
 
 struct auction_result {
@@ -84,11 +50,7 @@ struct auction_result {
     std::uint64_t evictions = 0;
     std::uint64_t abstentions = 0;
     std::uint64_t parked_at_termination = 0;
-    // ε phases the solve descended (1 unless ε-scaling engaged a ladder).
-    std::uint64_t phases_run = 0;
     bool converged = false;
-    // One entry per ε phase, only when options.record_phase_trace is set.
-    std::vector<auction_phase_snapshot> phase_trace;
 };
 
 // Completes a set of final bandwidth prices into a full dual solution:
@@ -100,13 +62,12 @@ struct auction_result {
 [[nodiscard]] std::vector<double> derive_request_utilities(
     const problem_view& problem, std::vector<double>& prices);
 
-// The ε-ladder driver both auction solvers share; a solver supplies only
-// run_phase(), one complete auction at a fixed ε. The driver descends the
-// ladder — a single rung normally; with ε-scaling a geometric descent from
-// the initial ε (or, adaptive, from the instance's contention) down to the
-// target — warm-starting each phase from the previous phase's prices with
-// spare-capacity sellers repaired to 0, sums the phases' counters, records
-// the phase trace, hands the final prices back and recovers the duals.
+// The shell both auction solvers share; a solver supplies only
+// run_auction(), one complete auction at its configured ε. The driver seeds
+// the prices (cold, or the caller's warm start), runs the auction once in a
+// single phase, hands the final prices back and, in run() only, recovers the
+// duals. The auction ends in ε-complementary slackness, so Theorem 1's
+// welfare ≥ optimal − (#assigned)·ε holds for every solve.
 class auction_driver : public scheduler {
 public:
     // Cold start: all prices begin at 0.
@@ -115,45 +76,30 @@ public:
     }
 
     // Warm start: λ_u begins at initial_prices[u] (must cover every uploader;
-    // empty = cold start). With ε-scaling enabled only the first phase is
-    // warm-started. The emulator threads a slot's prices through its bidding
-    // rounds this way when `warm_start_rounds` is on.
+    // empty = cold start). The emulator threads a slot's prices through its
+    // bidding rounds this way when `warm_start_rounds` is on.
     [[nodiscard]] auction_result run(const problem_view& problem,
                                      std::span<const double> initial_prices);
 
     // run()'s schedule without dual recovery.
     [[nodiscard]] schedule solve(const problem_view& problem) override;
-    void shed_memory() override;
-    [[nodiscard]] std::size_t workspace_bytes() const override;
 
 protected:
-    // The ladder fields of a solver's options.
-    struct ladder_settings {
-        double target_epsilon = 0.0;
-        bool scaling = false;
-        bool adaptive = false;
-        double initial_epsilon = 1.0;
-        double factor = 4.0;
-        bool record_phase_trace = false;
-        bool compute_request_utilities = true;
-    };
-    explicit auction_driver(const ladder_settings& ladder);
+    explicit auction_driver(bool compute_request_utilities)
+        : compute_request_utilities_(compute_request_utilities) {}
 
-    // One complete auction at a fixed ε, warm-started from `prices` (all zero
-    // on a cold first/only phase); the final λ of every positive-capacity
-    // seller comes back through the same vector, the phase's schedule and
-    // counters through `phase`. `first_phase` opens a solve.
-    virtual void run_phase(const problem_view& problem, double epsilon,
-                           std::vector<double>& prices, auction_result& phase,
-                           bool first_phase) = 0;
+    // One complete auction, warm-started from `prices` (all zero on a cold
+    // start); the final λ of every positive-capacity seller comes back
+    // through the same vector, the schedule and counters through `result`.
+    virtual void run_auction(const problem_view& problem, std::vector<double>& prices,
+                             auction_result& result) = 0;
 
 private:
     [[nodiscard]] auction_result drive(const problem_view& problem,
                                        std::span<const double> initial_prices,
                                        bool recover_duals);
 
-    ladder_settings ladder_;
-    std::vector<std::int64_t> used_scratch_;  // inter-phase repair
+    bool compute_request_utilities_ = true;
 };
 
 class auction_solver final : public auction_driver {
@@ -167,16 +113,15 @@ public:
     [[nodiscard]] const auction_options& options() const noexcept { return options_; }
 
 private:
-    void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& phase,
-                   bool first_phase) override;
+    void run_auction(const problem_view& problem, std::vector<double>& prices,
+                     auction_result& result) override;
 
     auction_options options_;
 
     // --- persistent workspaces (cleared/resized per solve, never shrunk) ---
     seller_book book_;  // its dense λ array is what every bid gathers from
     // FIFO bidding queue as a grow-only vector with a read head: total pushes
-    // per phase are bounded by initial requests + evictions + wake-ups.
+    // per solve are bounded by initial requests + evictions + wake-ups.
     std::vector<std::size_t> queue_;
     struct parked_entry {
         std::size_t request;

@@ -8,11 +8,7 @@
 namespace p2pcd::core {
 
 parallel_auction_solver::parallel_auction_solver(parallel_auction_options options)
-    : auction_driver({options.bidding.epsilon, options.epsilon_scaling,
-                      options.adaptive_scaling, options.scaling_initial_epsilon,
-                      options.scaling_factor, options.record_phase_trace,
-                      options.compute_request_utilities}),
-      options_(options) {
+    : auction_driver(options.compute_request_utilities), options_(options) {
     expects(options.bidding.policy == bid_policy::epsilon,
             "the parallel auction requires the epsilon bid policy: Jacobi "
             "rounds have no park/wake machinery");
@@ -49,34 +45,28 @@ void parallel_auction_solver::for_blocks(
     });
 }
 
-// One complete Jacobi auction at a fixed ε. Each round: every active
-// (unassigned) request bids against the round-start price snapshot, the bids
-// are binned per uploader in request order, every touched uploader settles
-// its bin, and the round's losers — rejected bidders plus evicted previous
-// holders — become the next round's active set, in ascending request order.
+// One complete Jacobi auction. Each round: every active (unassigned) request
+// bids against the round-start price snapshot, the bids are binned per
+// uploader in request order, every touched uploader settles its bin, and the
+// round's losers — rejected bidders plus evicted previous holders — become
+// the next round's active set, in ascending request order.
 // Every step is a pure function of the problem and the previous round's
 // state, never of thread scheduling, so the fixed point is bit-identical at
 // any thread count.
-void parallel_auction_solver::run_phase(const problem_view& problem, double epsilon,
-                                        std::vector<double>& prices,
-                                        auction_result& result, bool first_phase) {
+void parallel_auction_solver::run_auction(const problem_view& problem,
+                                          std::vector<double>& prices,
+                                          auction_result& result) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
+    const bidder_options& bidding = options_.bidding;
 
-    bidder_options bidding = options_.bidding;
-    bidding.epsilon = epsilon;
-
-    if (first_phase) {
-        if (!pool_ && threads() > 1)
-            pool_ = std::make_unique<engine::thread_pool>(threads());
-        // Capacities are invariant across the ε ladder: lay the book out once.
-        book_.layout(problem.all_uploaders());
-    }
+    if (!pool_ && threads() > 1) pool_ = std::make_unique<engine::thread_pool>(threads());
+    book_.layout(problem.all_uploaders());
 
     result.sched.choice.assign(nr, no_candidate);
 
-    // Empty assignment sets, prices seeded from the previous phase / warm
-    // start. On a cold phase every gatherable price is 0, so round 1 bids
+    // Empty assignment sets, prices seeded from the warm start (if any).
+    // On a cold start every gatherable price is 0, so round 1 bids
     // off the net values alone: the sweep is pure contiguous arithmetic over
     // the candidate slab, with no price gather at all. (A zero-capacity
     // seller's +inf sentinel breaks that equivalence, so it disables the
@@ -140,7 +130,7 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
         for (std::size_t i = 0; i < n_active; ++i) {
             if (dec[i].candidate == abstained) {
                 // Prices only rise, so a negative best margin is permanent:
-                // the abstainer drops out for the rest of the phase.
+                // the abstainer drops out for the rest of the solve.
                 ++result.abstentions;
                 continue;
             }
@@ -152,7 +142,7 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
             ++total_bids;
         }
         result.bids_submitted += total_bids;
-        if (total_bids == 0) break;  // everyone abstained: phase converged
+        if (total_bids == 0) break;  // everyone abstained: converged
 
         const std::size_t nt = touched_.size();
         bin_start_.resize(nt + 1);  // +1: the merge reads per-bin counts as
@@ -240,7 +230,6 @@ void parallel_auction_solver::run_phase(const problem_view& problem, double epsi
 }
 
 void parallel_auction_solver::shed_memory() {
-    auction_driver::shed_memory();
     book_.shed();
     std::vector<std::uint32_t>().swap(active_);
     std::vector<std::uint32_t>().swap(next_active_);
@@ -257,7 +246,7 @@ void parallel_auction_solver::shed_memory() {
 }
 
 std::size_t parallel_auction_solver::workspace_bytes() const {
-    return auction_driver::workspace_bytes() + book_.bytes() +
+    return book_.bytes() +
            active_.capacity() * sizeof(std::uint32_t) +
            next_active_.capacity() * sizeof(std::uint32_t) +
            decisions_.capacity() * sizeof(bid_slot) +

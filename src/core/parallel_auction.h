@@ -25,9 +25,9 @@
 // slot-golden and fleet-determinism suites pin this at threads 1/2/4/16.
 //
 // The fixed point differs from Gauss-Seidel (bids race within a round), so
-// "auction-par" carries its own golden hashes; it satisfies the same
-// ε-complementary-slackness invariant at every phase boundary and the same
-// welfare ≥ optimal − (#assigned)·ε bound (pinned by the property suite).
+// "auction-par" carries its own golden hashes; it ends in the same
+// ε-complementary slackness and meets the same welfare ≥ optimal −
+// (#assigned)·ε bound (pinned by the property suite).
 #ifndef P2PCD_CORE_PARALLEL_AUCTION_H
 #define P2PCD_CORE_PARALLEL_AUCTION_H
 
@@ -52,13 +52,6 @@ struct parallel_auction_options {
     bidder_options bidding{bid_policy::epsilon, 1e-3};  // ε policy required
     std::uint64_t max_bid_iterations = 100'000'000;
 
-    // ε-scaling ladder (see auction_options); adaptive by default — the new
-    // solver derives its round schedule from the instance's contention.
-    bool epsilon_scaling = true;
-    bool adaptive_scaling = true;
-    double scaling_initial_epsilon = 1.0;
-    double scaling_factor = 4.0;
-    bool record_phase_trace = false;
     // Same contract as the synchronous solver (core/auction.h): dual
     // recovery is skippable by schedule-only consumers.
     bool compute_request_utilities = true;
@@ -100,9 +93,8 @@ private:
     };
     static constexpr std::uint32_t abstained = 0xffffffffu;
 
-    void run_phase(const problem_view& problem, double epsilon,
-                   std::vector<double>& prices, auction_result& phase,
-                   bool first_phase) override;
+    void run_auction(const problem_view& problem, std::vector<double>& prices,
+                     auction_result& result) override;
     // Runs fn(begin, end) over [0, count) — inline, or as pool blocks of at
     // least `grain` items. Which worker runs which block is unobservable.
     void for_blocks(std::size_t count, std::size_t grain,

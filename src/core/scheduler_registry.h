@@ -26,10 +26,10 @@
 namespace p2pcd::core {
 
 struct scheduler_params {
-    // "auction": full option set (ε policy, scaling, iteration budget).
+    // "auction": full option set (ε policy, iteration budget).
     auction_options auction{.bidding = {bid_policy::epsilon, 0.05}};
-    // "auction-par": the Jacobi solver's own knobs (thread count, grain,
-    // adaptive ε ladder). Its ε defaults to the serial auction's 0.05 so the
+    // "auction-par": the Jacobi solver's own knobs (thread count, grain).
+    // Its ε defaults to the serial auction's 0.05 so the
     // two are comparable out of the box.
     parallel_auction_options parallel_auction{
         .bidding = {bid_policy::epsilon, 0.05}};

@@ -948,7 +948,6 @@ core::schedule emulator::dispatch(double round_start, double duration,
             price_series_built_ = false;
             metrics.auction_bids += result.auction.bids_submitted;
             counters_.inc(c_solver_bids_, result.auction.bids_submitted);
-            counters_.inc(c_solver_phases_, result.auction.phases_run);
             return std::move(result.auction.sched);
         }
         core::auction_result result;
@@ -966,7 +965,8 @@ core::schedule emulator::dispatch(double round_start, double duration,
         }
         metrics.auction_bids += result.bids_submitted;
         counters_.inc(c_solver_bids_, result.bids_submitted);
-        counters_.inc(c_solver_phases_, result.phases_run);
+        // Every auction solve runs as one phase at one ε.
+        counters_.inc(c_solver_phases_, 1);
         return std::move(result.sched);
     }
 

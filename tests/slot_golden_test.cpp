@@ -231,7 +231,7 @@ TEST(slot_golden, economy_smoke_delta_parallel_matches_pinned) {
 
 // The price-carry mode: prices thread through one slot's bidding
 // rounds and reset at its boundary. Pinned for both auctions, so the shared
-// ε-ladder driver is held to the warm-started path too, not only to cold
+// auction driver is held to the warm-started path too, not only to cold
 // starts (constants: vod::golden_warm_rounds_economy{,_par}).
 TEST(slot_golden, economy_smoke_warm_rounds_pinned) {
     check_against("economy_smoke", "-WARMROUNDS", &golden_warm_rounds_economy,

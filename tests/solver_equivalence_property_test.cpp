@@ -9,14 +9,14 @@
 //    uploaders, empty candidate rows, duplicate (request, uploader) edges.
 //  * parallel (Jacobi) auction vs the Theorem 1 obligations — feasibility,
 //    welfare within (#assigned)·ε of exact, dual feasibility and full
-//    ε-complementary slackness at termination (unscaled), and bit-identical
+//    ε-complementary slackness at termination, and bit-identical
 //    schedules/prices/counters across thread counts.
 //  * both auctions' solve() returns run()'s schedule (without the duals).
-//  * ε-scaling ladders (serial and parallel) — at EVERY phase boundary the
-//    recorded snapshot satisfies the in-phase ε-CS invariants: assigned
-//    requests hold a margin within ε of their best and ≥ −ε, exhausted
-//    requests have no positive margin left, and any price above its phase-
-//    initial value certifies a saturated uploader.
+//  * both auctions at their default ε, on scarce supply — the final
+//    prices and schedule satisfy ε-CS: assigned requests hold a margin
+//    within ε of their best and ≥ −ε, unassigned requests have no positive
+//    margin left, and every positive price certifies a saturated uploader;
+//    welfare stays within (#assigned)·ε of the optimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -193,10 +193,7 @@ TEST(parallel_auction_properties, final_state_satisfies_epsilon_cs) {
             params.seed = seed * 977 + 13;
             auto problem = workload::make_uniform_instance(params);
 
-            // Unscaled: the strict Theorem 1 obligations apply verbatim.
-            parallel_auction_solver solver({.bidding = {bid_policy::epsilon, epsilon},
-                                            .epsilon_scaling = false,
-                                            .adaptive_scaling = false});
+            parallel_auction_solver solver({.bidding = {bid_policy::epsilon, epsilon}});
             auto result = solver.run(problem);
             ASSERT_TRUE(result.converged);
             EXPECT_TRUE(schedule_feasible(problem, result.sched));
@@ -260,18 +257,13 @@ TEST(parallel_auction_properties, bit_identical_across_thread_counts) {
 
 // solve() is run() without dual recovery, for both auctions: the schedule is
 // the same either way, over the degenerate corpus (zero-capacity uploaders,
-// empty rows, duplicate edges) and with the ε ladder off and on. One solver
-// serves both calls, so its reused workspaces are exercised too.
+// empty rows, duplicate edges). One solver serves both calls, so its reused
+// workspaces are exercised too.
 TEST(solver_equivalence, solve_matches_run_schedule_for_both_auctions) {
     auction_solver serial;
-    auction_options scaled;
-    scaled.epsilon_scaling = true;
-    scaled.adaptive_scaling = true;
-    auction_solver serial_scaled(scaled);
     parallel_auction_solver parallel;
     parallel_auction_solver parallel_threaded({.num_threads = 2, .grain = 1});
-    std::vector<auction_driver*> solvers = {&serial, &serial_scaled, &parallel,
-                                            &parallel_threaded};
+    std::vector<auction_driver*> solvers = {&serial, &parallel, &parallel_threaded};
     for (std::uint64_t seed = 0; seed < 220; ++seed) {
         const auto problem = make_degenerate_instance(seed * 1315423911ull + 17);
         for (std::size_t i = 0; i < solvers.size(); ++i) {
@@ -285,128 +277,96 @@ TEST(solver_equivalence, solve_matches_run_schedule_for_both_auctions) {
     }
 }
 
-// In-phase ε-CS invariants a snapshot must satisfy with the phase's own ε and
-// the phase's initial prices (phase 0 starts cold; later phases start from
-// the previous snapshot after the spare-capacity repair).
-void check_phase_boundary(const problem_view& problem,
-                          const auction_phase_snapshot& snap,
-                          const std::vector<double>& initial_prices) {
+// The ε-CS invariants a cold-started auction's end state must satisfy at its
+// ε: assigned requests hold a margin within ε of their best and ≥ −ε,
+// unassigned requests have no positive margin left (prices only rise), and
+// any positive price was lifted by a full assignment set (sets never shrink
+// within a solve).
+void check_epsilon_cs(const problem_view& problem, double epsilon,
+                      const auction_result& result) {
     const std::size_t nr = problem.num_requests();
     const std::size_t nu = problem.num_uploaders();
-    schedule sched;
-    sched.choice = snap.choice;
-    ASSERT_TRUE(schedule_feasible(problem, sched));
+    ASSERT_TRUE(schedule_feasible(problem, result.sched));
+    const auto& choice = result.sched.choice;
+    const auto& prices = result.prices;
 
     std::vector<std::int64_t> used(nu, 0);
     for (std::size_t r = 0; r < nr; ++r)
-        if (snap.choice[r] != no_candidate)
-            ++used[problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])]
-                       .uploader];
+        if (choice[r] != no_candidate)
+            ++used[problem.candidates(r)[static_cast<std::size_t>(choice[r])].uploader];
 
     for (std::size_t r = 0; r < nr; ++r) {
         double best = -std::numeric_limits<double>::infinity();
         for (const auto& c : problem.candidates(r)) {
             if (problem.uploader(c.uploader).capacity == 0) continue;
-            best = std::max(best, problem.request(r).valuation - c.cost -
-                                      snap.prices[c.uploader]);
+            best = std::max(best,
+                            problem.request(r).valuation - c.cost - prices[c.uploader]);
         }
-        if (snap.choice[r] == no_candidate) {
-            // An exhausted bidder saw every margin go negative; prices only
-            // rise within a phase, so no positive margin can remain.
+        if (choice[r] == no_candidate) {
             EXPECT_LE(best, tol) << "request " << r;
         } else {
-            const auto& c =
-                problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])];
+            const auto& c = problem.candidates(r)[static_cast<std::size_t>(choice[r])];
             const double margin =
-                problem.request(r).valuation - c.cost - snap.prices[c.uploader];
-            EXPECT_GE(margin, best - snap.epsilon - tol) << "request " << r;
-            EXPECT_GE(margin, -snap.epsilon - tol) << "request " << r;
+                problem.request(r).valuation - c.cost - prices[c.uploader];
+            EXPECT_GE(margin, best - epsilon - tol) << "request " << r;
+            EXPECT_GE(margin, -epsilon - tol) << "request " << r;
         }
     }
-    // A price above its phase-initial value was lifted by a full assignment
-    // set, and sets never shrink within a phase.
     for (std::size_t u = 0; u < nu; ++u) {
         if (problem.uploader(u).capacity == 0) continue;
-        if (snap.prices[u] > initial_prices[u] + tol) {
+        if (prices[u] > tol) {
             EXPECT_EQ(used[u], problem.uploader(u).capacity) << "uploader " << u;
         }
     }
 }
 
-// Initial prices of phase k+1 = snapshot k's prices after the spare-capacity
-// repair (mirrors the solvers' inter-phase step).
-std::vector<double> repaired_prices(const problem_view& problem,
-                                    const auction_phase_snapshot& snap) {
-    const std::size_t nu = problem.num_uploaders();
-    std::vector<std::int64_t> used(nu, 0);
-    for (std::size_t r = 0; r < problem.num_requests(); ++r)
-        if (snap.choice[r] != no_candidate)
-            ++used[problem.candidates(r)[static_cast<std::size_t>(snap.choice[r])]
-                       .uploader];
-    std::vector<double> prices = snap.prices;
-    for (std::size_t u = 0; u < nu; ++u)
-        if (used[u] < problem.uploader(u).capacity) prices[u] = 0.0;
-    return prices;
-}
-
+// Theorem 1 for an auction as shipped: cold start, one phase at the target
+// ε, on scarce supply — the scarce uniform family and an ISP instance with
+// ~16 requests per unit of upload capacity. The phase's only boundary is the
+// end state, which is in ε-CS against zero initial prices (so every positive
+// price marks a full uploader), and welfare is within (#assigned)·ε of the
+// optimum.
 template <typename Solver>
 void run_boundary_property(Solver& solver) {
+    std::vector<scheduling_problem> corpus;
     for (std::uint64_t seed = 0; seed < 12; ++seed) {
-        auto params = family_params(1);  // scarce supply forces a real ladder
+        auto params = family_params(1);
         params.seed = seed * 131 + 7;
-        auto problem = workload::make_uniform_instance(params);
-        auto result = solver.run(problem);
-        ASSERT_GE(result.phase_trace.size(), 2u)
-            << "ladder must actually descend on a contended instance";
-        EXPECT_EQ(result.phase_trace.back().choice, result.sched.choice);
+        corpus.push_back(workload::make_uniform_instance(params));
+    }
+    corpus.push_back(workload::make_isp_instance({.num_isps = 5,
+                                                  .peers_per_isp = 20,
+                                                  .requests_per_peer = 40,
+                                                  .candidates_per_request = 14,
+                                                  .capacity_min = 1,
+                                                  .capacity_max = 4,
+                                                  .seed = 3})
+                         .problem);
 
-        std::vector<double> initial(problem.num_uploaders(), 0.0);
-        for (std::size_t k = 0; k < result.phase_trace.size(); ++k) {
-            check_phase_boundary(problem, result.phase_trace[k], initial);
-            initial = repaired_prices(problem, result.phase_trace[k]);
-        }
+    const double epsilon = solver.options().bidding.epsilon;
+    exact_scheduler exact;
+    for (std::size_t i = 0; i < corpus.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "instance " << i);
+        const auto& problem = corpus[i];
+        const double best = exact.run(problem).welfare;
+        const auction_result result = solver.run(problem);
+        ASSERT_TRUE(result.converged);
+        check_epsilon_cs(problem, epsilon, result);
+        const auto stats = compute_stats(problem, result.sched);
+        EXPECT_LE(stats.welfare, best + tol);
+        EXPECT_GE(stats.welfare,
+                  best - static_cast<double>(stats.assigned) * epsilon - tol);
     }
 }
 
 TEST(epsilon_scaling_properties, serial_phase_boundaries_satisfy_epsilon_cs) {
-    auction_solver solver({.bidding = {bid_policy::epsilon, 1e-3},
-                           .epsilon_scaling = true,
-                           .scaling_initial_epsilon = 2.0,
-                           .scaling_factor = 4.0,
-                           .record_phase_trace = true});
+    auction_solver solver;
     run_boundary_property(solver);
 }
 
 TEST(epsilon_scaling_properties, parallel_phase_boundaries_satisfy_epsilon_cs) {
-    parallel_auction_solver solver({.bidding = {bid_policy::epsilon, 1e-3},
-                                    .epsilon_scaling = true,
-                                    .adaptive_scaling = false,
-                                    .scaling_initial_epsilon = 2.0,
-                                    .scaling_factor = 4.0,
-                                    .record_phase_trace = true,
-                                    .num_threads = 2,
-                                    .grain = 1});
+    parallel_auction_solver solver({.num_threads = 2, .grain = 1});
     run_boundary_property(solver);
-}
-
-TEST(epsilon_scaling_properties, adaptive_ladder_tracks_contention) {
-    // Supply-rich: the adaptive ladder collapses to a single target-ε phase.
-    auto rich = family_params(2);
-    rich.seed = 5;
-    auto rich_problem = workload::make_uniform_instance(rich);
-    parallel_auction_solver adaptive({.bidding = {bid_policy::epsilon, 1e-3},
-                                      .record_phase_trace = true});
-    auto rich_result = adaptive.run(rich_problem);
-    EXPECT_EQ(rich_result.phase_trace.size(), 1u);
-    EXPECT_DOUBLE_EQ(rich_result.phase_trace[0].epsilon, 1e-3);
-
-    // Scarce: the ladder opens near max(v−w)/factor and descends.
-    auto scarce = family_params(1);
-    scarce.seed = 5;
-    auto scarce_problem = workload::make_uniform_instance(scarce);
-    auto scarce_result = adaptive.run(scarce_problem);
-    EXPECT_GE(scarce_result.phase_trace.size(), 2u);
-    EXPECT_GT(scarce_result.phase_trace.front().epsilon, 1e-3);
 }
 
 }  // namespace
